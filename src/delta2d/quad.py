@@ -5,6 +5,15 @@ log-type singularities), mollified delta families as a classical probe of
 products f*delta, and least-squares extraction of the logarithmic
 divergence structure.
 
+A bump centred at c != 0 (d = |c|, radius R) is paired through its
+average over the circles |x| = r.  Each average is taken only over the
+arc that meets the support, by a nested trapezoid rule doubled until two
+levels agree, and r runs only over the annulus [max(0, d - R), d + R]:
+one adaptive pass when the origin lies outside the support, the graded
+mesh of integrate_radial when it lies inside.  The reported error
+estimate is the radial estimate plus the angular part, the largest
+accepted level difference times int 2 pi r |f| dr over the annulus.
+
 All radial integrands must accept numpy arrays.
 """
 
@@ -34,10 +43,15 @@ TWO_PI = 2.0 * math.pi
 # re-derive it independently).
 _BUMP_PROFILE_NORM = 0.7885737797126772
 
-# Angular resolution for circular averages of off-center test functions.
-# Bump-type integrands have root-exponential Fourier decay, so the periodic
-# trapezoid rule needs a generous node count to sit below 1e-10.
-_N_THETA = 4096
+# Nested trapezoid rule for arc averages of off-centre bumps: the first
+# level has _ARC_START intervals on [0, w]; each further level halves
+# them.  Bump profiles have root-exponential Fourier decay: on circles
+# through the bump centre the Laplacian needs about 512 intervals.
+_ARC_START = 8
+_ARC_MAX_LEVEL = 12
+# The angular rule stops when two levels agree to this fraction of
+# rel_tol * |profile(0)|.
+_ARC_TOL = 1e-3
 
 
 class QuadratureError(RuntimeError):
@@ -128,22 +142,89 @@ def integrate_radial(g, r_max, rel_tol=1e-10):
     raise QuadratureError("radial quadrature did not converge within the refinement budget")
 
 
-def _theta_average(phi, which):
-    """Circular average around the origin of phi (value or laplacian).
+def _theta_average(phi, prof, r, tol):
+    """Average over each circle |x| = r of a radial function of |x - c|,
+    prof (phi.profile or phi.profile_laplacian), c the centre of phi.
 
-    Spectrally accurate periodic trapezoid rule; returns a vectorized
-    function of r.
+    With d = |c| and R = phi.radius, the circle meets the support on the
+    arc |theta - theta_c| < w(r), w = arccos((r^2 + d^2 - R^2) / (2 r d)),
+    taken here as 2 arcsin of the root of (R^2 - (r - d)^2) / (4 r d),
+    which keeps thin arcs far out; w = pi once the circle lies inside the
+    support.  The integrand is even in theta - theta_c and flat where the
+    arc ends, so the trapezoid rule on [0, w] converges like the periodic
+    one.  Levels double, each reusing the nodes of the last, until two
+    agree to tol.  Returns the averages and the accepted level
+    differences, arrays shaped like r.
     """
-    theta = np.linspace(0.0, TWO_PI, _N_THETA, endpoint=False)
-    ct, st = np.cos(theta), np.sin(theta)
-    f = phi.value_xy if which == "value" else phi.laplacian_xy
+    d, R = math.hypot(*phi.center), phi.radius
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    gap = np.abs(r - d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = (R - gap) * (R + gap) / (4.0 * r * d)
+    w = 2.0 * np.arcsin(np.sqrt(np.clip(np.nan_to_num(half, nan=0.0), 0.0, 1.0)))
 
-    def avg(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        vals = f(np.outer(r, ct), np.outer(r, st))
-        return vals.mean(axis=1)
+    def arc(rows, frac):
+        # rho = |r e^{it} - c| written without cancellation near rho = 0
+        rr, t = r[rows, None], w[rows, None] * frac
+        return prof(np.hypot(rr - d, 2.0 * np.sqrt(rr * d) * np.sin(0.5 * t)))
 
-    return avg
+    n = _ARC_START
+    vals = arc(slice(None), np.arange(n + 1) / n)
+    sums = vals[:, 1:-1].sum(axis=1) + 0.5 * (vals[:, 0] + vals[:, -1])
+    avg = sums * w / (math.pi * n)
+    diff = np.zeros_like(r)
+    active = np.flatnonzero(w > 0.0)
+    level = 0
+    while active.size:
+        if level == _ARC_MAX_LEVEL:
+            i = active[np.argmax(diff[active])]
+            raise QuadratureError(
+                "angular average did not converge at r=%r: level %d, last difference %r"
+                % (float(r[i]), level, float(diff[i])))
+        sums[active] += arc(active, (2.0 * np.arange(n) + 1.0) / (2 * n)).sum(axis=1)
+        n *= 2
+        level += 1
+        new = sums[active] * w[active] / (math.pi * n)
+        diff[active] = np.abs(new - avg[active])
+        avg[active] = new
+        active = active[diff[active] > tol]
+    return avg, diff
+
+
+def _abs_moment(f, lo, hi):
+    """int_lo^hi 2*pi*r*|f(r)| dr to a few digits, by 32-point panels graded
+    toward lo; it scales the angular part of the error estimate."""
+    cuts = [lo] + [lo + (hi - lo) * 2.0 ** -k for k in range(12, -1, -1)]
+    h = lambda r: TWO_PI * r * np.abs(f(r))
+    return sum(_panel(h, a, b, 32) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+def _pair_off_centre(f, phi, prof, r_cap, rel_tol):
+    """<f, phi> (prof = phi.profile) or <f, lap phi> (prof =
+    phi.profile_laplacian) for a bump off the origin, with r limited to
+    the annulus the bump covers and to r <= r_cap."""
+    d, R = math.hypot(*phi.center), phi.radius
+    lo, hi = max(0.0, d - R), min(d + R, r_cap)
+    if hi <= lo:
+        return PairingReport(0.0, 0.0, ())
+    tol = _ARC_TOL * rel_tol * abs(float(prof(0.0)))
+    worst = [0.0]
+
+    def g(r):
+        avg, diff = _theta_average(phi, prof, r, tol)
+        worst[0] = max(worst[0], float(diff.max()))
+        return f(r) * avg
+
+    if d >= R:
+        # f is smooth on the annulus: one adaptive pass, no grading at 0
+        h = lambda r: TWO_PI * r * g(r)
+        scale = 1.0 + abs(_panel(h, lo, hi, 32))
+        value, err = _adaptive_panel(h, lo, hi, 0.25 * rel_tol * scale, [20000])
+        table = ()
+    else:
+        rep = integrate_radial(g, hi, rel_tol=rel_tol)
+        value, err, table = rep.value, rep.abs_error_estimate, rep.table
+    return PairingReport(value, err + worst[0] * _abs_moment(f, lo, hi), table)
 
 
 def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
@@ -151,16 +232,14 @@ def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
 
     f is a radial function of r = |x|, locally integrable with at worst a
     log singularity at the origin.  Origin-centered phi reduces to a 1D
-    radial integral; otherwise the angular average of phi is taken first.
+    radial integral.  Otherwise f times the arc average of phi (see
+    _theta_average) is integrated over the annulus max(0, d - R) <= r <=
+    d + R, and the error estimate adds the angular part to the radial one.
     """
-    if phi.origin_centered:
-        w = phi.profile_laplacian if move_ops else phi.profile
-        r_hi = phi.radius
-    else:
-        w = _theta_average(phi, "laplacian" if move_ops else "value")
-        cx, cy = phi.center
-        r_hi = math.hypot(cx, cy) + phi.radius
-    return integrate_radial(lambda r: f(r) * w(r), r_hi, rel_tol=rel_tol)
+    w = phi.profile_laplacian if move_ops else phi.profile
+    if not phi.origin_centered:
+        return _pair_off_centre(f, phi, w, math.inf, rel_tol)
+    return integrate_radial(lambda r: f(r) * w(r), phi.radius, rel_tol=rel_tol)
 
 
 def pair_delta(c, phi):
@@ -215,15 +294,15 @@ def pair_mollified_product(f, fam, phi, rel_tol=1e-10):
     for eps in fam.epsilons:
         if eps >= phi.radius:
             raise ValueError("mollifier width %g is not below the bump radius %g" % (eps, phi.radius))
-    if phi.origin_centered:
-        w = phi.profile
-    else:
-        w = _theta_average(phi, "value")
     rows = []
     for eps in fam.epsilons:
-        r_hi = min(phi.radius, fam.cutoff_radius(eps))
-        g = lambda r, e=eps: f(r) * fam.delta_eps(e, r) * w(r)
-        rows.append((eps, integrate_radial(g, r_hi, rel_tol=rel_tol).value))
+        g = lambda r, e=eps: f(r) * fam.delta_eps(e, r)
+        if phi.origin_centered:
+            r_hi = min(phi.radius, fam.cutoff_radius(eps))
+            rep = integrate_radial(lambda r: g(r) * phi.profile(r), r_hi, rel_tol=rel_tol)
+        else:
+            rep = _pair_off_centre(g, phi, phi.profile, fam.cutoff_radius(eps), rel_tol)
+        rows.append((eps, rep.value))
     return rows
 
 

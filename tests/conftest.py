@@ -6,10 +6,12 @@ pairings are cross-checked with scipy.integrate.quad.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad as sciquad
+from scipy import special
+from scipy.integrate import IntegrationWarning, quad as sciquad
 
 from delta2d import make_bump
 
@@ -33,6 +35,43 @@ def radial_oracle(g, lo, hi, singular_at_zero=False):
             val += sciquad(f, a, b, **kwargs)[0]
         return val
     return sciquad(f, lo, hi, **kwargs)[0]
+
+
+def circle_mean(kind, a, dist, rho):
+    """Mean of log|x| (kind "log") or K0(a|x|) (kind "k0") over the circle
+    of radius rho about a point at distance dist from the origin:
+    log max(rho, dist) by Jensen's formula, K0(a max) I0(a min) by Graf's
+    addition theorem."""
+    lo, hi = min(dist, rho), max(dist, rho)
+    if kind == "log":
+        return math.log(hi)
+    return float(special.k0e(a * hi) * special.i0e(a * lo)) * math.exp(a * (lo - hi))
+
+
+def off_centre_oracle(kind, a, phi, laplacian=False):
+    """<f, phi> (or <f, lap phi>) for f = log|x| or K0(a|x|) and a bump
+    anywhere, as one QUADPACK integral over rho = |x - center| in the
+    bump's own coordinates.  Returns (value, tolerance): the tolerance is
+    QUADPACK's summed error estimate, at least 1e-13 * (1 + |value|)."""
+    dist = math.hypot(*phi.center)
+    w = phi.profile_laplacian if laplacian else phi.profile
+
+    def integrand(rho):
+        return 2.0 * math.pi * rho * float(w(rho)) * circle_mean(kind, a, dist, rho)
+
+    # split at the kink of the circle mean (rho = dist) and grade toward
+    # rho = 0, where the mean of log is singular for an origin-centred bump
+    R = phi.radius
+    cuts = sorted({0.0, R} | ({dist} if 0.0 < dist < R else set())
+                  | {R * 2.0 ** -k for k in range(1, 20)})
+    value = err = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            v, e = sciquad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-14, limit=200)
+            value += v
+            err += e
+    return value, max(err, 1e-13 * (1.0 + abs(value)))
 
 
 def suite_bumps():

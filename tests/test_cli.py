@@ -4,7 +4,10 @@ import math
 
 import pytest
 
+from delta2d import make_bump
 from delta2d.cli import main, _parse_alpha, _parse_range
+
+from conftest import off_centre_oracle
 
 
 def run_cli(argv):
@@ -104,6 +107,18 @@ def test_pair_fundamental_solution():
     assert doc["summary"]["value"] == pytest.approx(4.0 * math.pi, rel=1e-12)
     kinds = [r["kind"] for r in doc["rows"]]
     assert "trace" in kinds and "canonical" in kinds and "pairing" in kinds
+
+
+def test_pair_off_centre_log_against_jensen_oracle():
+    argv = ["pair", "--phi-center", "3,0", "--expr", "log_r", "--format", "json"]
+    code, text = run_cli(argv)
+    assert code == 0
+    summary = json.loads(text)["summary"]
+    want, oracle_tol = off_centre_oracle("log", 1.0, make_bump(1.0, 1.0, (3.0, 0.0)))
+    err = abs(summary["value"] - want)
+    assert err <= 1e-8 * (1.0 + abs(want))
+    assert err <= summary["abs_error_estimate"] + oracle_tol
+    assert run_cli(argv) == (code, text)
 
 
 def test_pair_k0_delta_trace_and_value():

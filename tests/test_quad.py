@@ -8,7 +8,11 @@ from delta2d import (EULER_GAMMA, k0, make_bump, integrate_radial, pair_regular,
                      MollifierFamily, QuadratureError)
 from delta2d.quad import PairingReport
 
-from conftest import radial_oracle
+from conftest import off_centre_oracle, radial_oracle, suite_bumps
+
+# every off-centre bump of the suite, plus one whose support contains the origin
+OFF_CENTRE = [phi for phi in suite_bumps() if not phi.origin_centered] + [
+    make_bump(1.0, 1.0, (0.4, 0.0))]
 
 
 def test_unit_disk_area():
@@ -74,6 +78,25 @@ def test_pair_regular_off_center_against_oracle():
     assert rep.value == pytest.approx(want, abs=5e-10)
 
 
+@pytest.mark.parametrize("move_ops", [False, True])
+@pytest.mark.parametrize("kind", ["log", "k0"])
+@pytest.mark.parametrize("phi", OFF_CENTRE, ids=lambda phi: "c=%g,%g" % phi.center)
+def test_off_centre_error_estimate_bounds_actual_error(phi, kind, move_ops):
+    # the reported estimate (radial plus angular part) must cover the
+    # distance to an independent oracle in the bump's own coordinates
+    f = np.log if kind == "log" else (lambda r: k0(np.asarray(r, float)))
+    rep = pair_regular(f, phi, move_ops=move_ops)
+    want, oracle_tol = off_centre_oracle(kind, 1.0, phi, laplacian=move_ops)
+    assert abs(rep.value - want) <= rep.abs_error_estimate + oracle_tol
+
+
+def test_angular_average_failure_names_its_stage(monkeypatch):
+    import delta2d.quad as quad
+    monkeypatch.setattr(quad, "_ARC_MAX_LEVEL", 1)
+    with pytest.raises(QuadratureError, match=r"angular average .* r=\S+: level 1, last difference \S+"):
+        pair_regular(np.log, make_bump(1.0, 1.0, (3.0, 0.0)), move_ops=True)
+
+
 def test_delta_scaling_rule_via_expressions():
     from delta2d import parse_expr, scale_expr, weak_pair_expr
     phi = make_bump(1.0, 2.0)
@@ -104,10 +127,9 @@ def test_mollifier_unit_mass_and_scaling(profile):
                            rtol=0.0, atol=0.0)
 
 
-def test_mollified_constant_recovers_phi0():
+def _check_mollified_constant_recovers_phi0(phi):
     # <1 * delta_eps, phi> = phi(0) + (eps^2/4) * lap phi(0) * <|u|^2 eta> + O(eps^4);
     # the gaussian profile has second moment <|u|^2 eta> = 1
-    phi = make_bump(2.0, 1.0)
     fam = MollifierFamily("gaussian", (2.0 ** -6, 2.0 ** -8, 2.0 ** -10))
     rows = pair_mollified_product(lambda r: np.ones_like(np.asarray(r, float)), fam, phi)
     lap0 = phi.laplacian((0.0, 0.0))
@@ -117,6 +139,16 @@ def test_mollified_constant_recovers_phi0():
     errs = [abs(v - phi.at_origin()) for _, v in rows]
     assert errs[-1] < 1e-5
     assert errs[-1] <= errs[0]
+
+
+def test_mollified_constant_recovers_phi0():
+    _check_mollified_constant_recovers_phi0(make_bump(2.0, 1.0))
+
+
+def test_mollified_constant_recovers_phi0_off_centre():
+    # the circle average of a smooth phi is phi(0) + (r^2/4) lap phi(0) + ...,
+    # so the same eps^2 bias holds for a bump off the origin
+    _check_mollified_constant_recovers_phi0(make_bump(2.0, 1.0, (0.3, 0.2)))
 
 
 def test_mollified_epsilon_domain_error():
