@@ -109,13 +109,13 @@ def _identity_checks():
             "fundamental_solution_bump%d" % i, "<log|x|, lap phi> = 2*pi*phi(0)",
             rep.value, 2.0 * math.pi * phi.at_origin(), 1e-8 * max(1.0, abs(phi.at_origin()))))
     for b in (0.5, 1.0, 2.0):
-        psi = lambda r, b=b: (b / math.sqrt(math.pi)) * k0(b * r)
+        psi = dexpr._radial_callable(dexpr.Psi(b))
         rep = quad.integrate_radial(lambda r: psi(r) ** 2, 30.0 / b)
         rows.append(_check_row(
             "normalization_b%s" % b, "<psi_b, psi_b> = 1", rep.value, 1.0, 1e-8))
     b = 1.0
+    psi = dexpr._radial_callable(dexpr.Psi(b))
     for i, phi in enumerate(bumps[:3]):
-        psi = lambda r: (b / math.sqrt(math.pi)) * k0(b * r)
         lhs = quad.pair_regular(psi, phi, move_ops=True).value
         mid = quad.pair_regular(psi, phi).value
         rows.append(_check_row(

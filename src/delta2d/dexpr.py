@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .specfun import EULER_GAMMA
 from . import quad as _quad
+from . import spectrum as _spectrum
 
 __all__ = [
     "DistExpr", "Delta", "LogRadial", "LogRadialScaled", "K0Radial", "Psi",
@@ -507,18 +508,6 @@ def _laplacian_matcher(node):
     raise RewriteError("no Laplacian rule for %s" % print_expr(child))
 
 
-def check_log_argument_dimension(a_length_exponent, L_length_exponent):
-    """The split log argument (1/2)*e^gamma*a*L must be dimensionless.
-
-    a carries length exponent -1 and the reference scale L carries +1; any
-    other combination would reintroduce a dimensionful log argument.
-    """
-    total = a_length_exponent + L_length_exponent
-    if total != 0:
-        raise ExprConstraintError(
-            "log argument carries length exponent %d; it must be dimensionless" % total)
-
-
 def _product_matcher_for(L):
     mag = abs(L)
 
@@ -529,7 +518,6 @@ def _product_matcher_for(L):
         if isinstance(reg, (LogRadial, LogRadialScaled)):
             return ZERO, ("product-log-delta", "log|x|*delta = 0 (the zero distribution)")
         if isinstance(reg, K0Radial):
-            check_log_argument_dimension(-1, +1)
             coeff = -(math.log(0.5 * reg.a * mag) + EULER_GAMMA)
             return (ScalarMul(coeff, Delta()),
                     ("product-k0-delta",
@@ -550,19 +538,24 @@ def _product_matcher_for(L):
 _SKIP_SCALED = lambda node: isinstance(node, ScaleArg)
 
 
-def _run_fixpoint(e, matchers, trace):
-    changed = True
-    while changed:
-        changed = False
-        for matcher, skip in matchers:
+def _run_fixpoint(e, matchers, trace, rng=None):
+    """Apply the first matcher that fires, recording each step in trace,
+    until none fires.  With rng, every step tries the matchers in a freshly
+    shuffled order."""
+    while True:
+        order = matchers
+        if rng is not None:
+            order = list(matchers)
+            rng.shuffle(order)
+        for matcher, skip in order:
             hit = _replace_first(e, matcher, skip)
             if hit is not None:
                 new, (rule, identity) = hit
                 trace.record(rule, identity, e, new)
                 e = new
-                changed = True
                 break
-    return e
+        else:
+            return e
 
 
 def scale_expr(e, s):
@@ -605,25 +598,7 @@ def rewrite_full(e, L=1.0, rng=None):
     trace = RewriteTrace()
     matchers = [(_scale_matcher, None), (_laplacian_matcher, None),
                 (_product_matcher_for(Lf), _SKIP_SCALED)]
-    if rng is None:
-        out = _run_fixpoint(e, matchers, trace)
-    else:
-        out = e
-        while True:
-            order = list(matchers)
-            rng.shuffle(order)
-            progressed = False
-            for matcher, skip in order:
-                hit = _replace_first(out, matcher, skip)
-                if hit is not None:
-                    new, (rule, identity) = hit
-                    trace.record(rule, identity, out, new)
-                    out = new
-                    progressed = True
-                    break
-            if not progressed:
-                break
-    return normalize(out), trace
+    return normalize(_run_fixpoint(e, matchers, trace, rng)), trace
 
 
 # --------------------------------------------------------------------------
@@ -678,14 +653,11 @@ def hamiltonian_coefficients(b, params):
     Returns (energy coefficient of psi_b, delta coefficient):
         E      = -hbar^2 b^2 / (2 m)
         c_delta = (b/sqrt(pi)) * [hbar^2*pi/m + alpha*log((1/2)*e^gamma*b*|L|)]
+    that is, spectrum.energy_from_b (which rejects b <= 0) and b/sqrt(pi)
+    times spectrum.eeq_residual.
     """
-    if not (math.isfinite(b) and b > 0.0):
-        raise ValueError("b must be positive and finite")
-    energy = -params.hbar**2 * b * b / (2.0 * params.mass)
-    c_delta = (b / SQRT_PI) * (
-        params.hbar**2 * math.pi / params.mass
-        + params.alpha * (math.log(0.5 * b * abs(params.L)) + EULER_GAMMA))
-    return energy, c_delta
+    return (_spectrum.energy_from_b(b, params),
+            (b / SQRT_PI) * _spectrum.eeq_residual(b, params))
 
 
 def apply_hamiltonian(b, params):
@@ -698,15 +670,11 @@ def apply_hamiltonian(b, params):
         raise ValueError("b must be positive and finite")
     kinetic = ScalarMul(-params.hbar**2 / (2.0 * params.mass), Laplacian(Psi(b)))
     potential = ScalarMul(-params.alpha, Product(Psi(b), Delta()))
-    expr = Sum((kinetic, potential))
-    expr, trace = _rewrite_with(expr, [(_laplacian_matcher, None),
-                                       (_product_matcher_for(float(params.L)), _SKIP_SCALED)])
-    return normalize(expr), trace
-
-
-def _rewrite_with(e, matchers):
     trace = RewriteTrace()
-    return _run_fixpoint(e, matchers, trace), trace
+    expr = _run_fixpoint(Sum((kinetic, potential)),
+                         [(_laplacian_matcher, None),
+                          (_product_matcher_for(float(params.L)), _SKIP_SCALED)], trace)
+    return normalize(expr), trace
 
 
 def weak_pair_expr(e, phi, L=1.0, rel_tol=1e-10):

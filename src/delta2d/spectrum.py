@@ -4,16 +4,14 @@ The eigenvalue condition
 
     hbar^2*pi/m + alpha*log((1/2)*e^gamma*b*|L|) = 0
 
-is solved two independent ways (bracketed root-finding on b, and the
-closed-form energy), and the resulting one-parameter family of energies
-indexed by the reference length L is compared against the standard
-self-adjoint-extension point spectrum.
+is solved two independent ways (a bracketed secant search in t = log b,
+on which the condition is affine, and the closed-form energy), and the
+root-found energy at hbar^2/m = 2, L = 1 is compared against the
+self-adjoint-extension point-interaction singleton.
 """
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from .specfun import EULER_GAMMA
 
@@ -64,9 +62,10 @@ class CSpectrumFamily:
 
 @dataclass(frozen=True)
 class AghhComparison:
-    """The singleton energy at hbar^2/m = 2, L = +-1, in both coupling
-    conventions (ours, and the inverse coupling of the reference point
-    spectrum)."""
+    """The singleton energy at hbar^2/m = 2, L = +-1, found two ways:
+    sigma_p is the root-found energy of solve_eeq, sigma_c the
+    point-interaction formula of the reference spectrum, whose coupling
+    is the inverse of ours."""
     sigma_c: float
     sigma_p: float
     rel_diff: float
@@ -95,23 +94,38 @@ def eeq_residual(b, params):
 
 
 def solve_eeq(params):
-    """Unique b > 0 solving the eigenvalue condition, via bracketed
-    root-finding (independent of the closed form)."""
-    f = lambda b: eeq_residual(b, params)
-    # At b0 the log term vanishes, so f(b0) = hbar^2*pi/m > 0; the root
-    # lies below b0 for alpha > 0 (f increasing) and above for alpha < 0.
-    b0 = 2.0 * math.exp(-EULER_GAMMA) / abs(params.L)
-    factor = 0.5 if params.alpha > 0.0 else 2.0
-    lo = hi = b0
-    other = b0
-    for _ in range(4400):
-        other *= factor
-        if f(other) <= 0.0:
+    """Unique b > 0 solving the eigenvalue condition (independent of the
+    closed form).
+
+    The residual is affine in t = log b.  From b0 = 2*e^-gamma/|L| the
+    search walks t in steps of log 2 until the residual changes sign, then
+    runs a bracketed secant (regula falsi) on t, which usually lands on
+    the root up to rounding within one to three residual evaluations.  b*
+    is taken from the bracket end with the smaller residual.
+    """
+    f = lambda t: eeq_residual(math.exp(t), params)
+    # At b0 the log term vanishes, so f(t0) = hbar^2*pi/m > 0; the root
+    # lies below t0 for alpha > 0 (f increasing) and above for alpha < 0.
+    t0 = math.log(2.0 * math.exp(-EULER_GAMMA) / abs(params.L))
+    step = -math.log(2.0) if params.alpha > 0.0 else math.log(2.0)
+    for k in range(1, 4401):
+        t = t0 + k * step
+        ft = f(t)
+        if ft <= 0.0:
             break
     else:
         raise RuntimeError("failed to bracket the eigenvalue condition")
-    lo, hi = (other, b0) if params.alpha > 0.0 else (b0, other)
-    b_star = brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=500)
+    (lo, f_lo), (hi, f_hi) = sorted([(t - step, f(t - step)), (t, ft)])
+    while f_lo != 0.0 and f_hi != 0.0:
+        t = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if not lo < t < hi:
+            break
+        ft = f(t)
+        if (ft < 0.0) == (f_lo < 0.0):
+            lo, f_lo = t, ft
+        else:
+            hi, f_hi = t, ft
+    b_star = math.exp(lo if abs(f_lo) <= abs(f_hi) else hi)
     return BoundState(b_star, energy_from_b(b_star, params))
 
 
@@ -132,18 +146,17 @@ def c_spectrum(hbar, mass, alpha, L_values):
 
 
 def aghh_check(alpha):
-    """Compare both coupling parametrizations of the singleton energy.
+    """Compare the root-found singleton energy with the reference formula.
 
-    With hbar^2/m = 2 and L = +-1 the family collapses to
-    -4*exp(-2*gamma - 4*pi/alpha); the reference point spectrum uses the
-    inverse coupling, for which (-2*pi*(1/alpha))^-1 is the scattering
-    length.
+    sigma_p solves the eigenvalue condition at hbar = 1, m = 1/2 (so that
+    hbar^2/m = 2 exactly) and L = 1.  sigma_c is the point-interaction
+    energy -4*exp(-4*pi*alpha' - 2*gamma) with the inverse coupling
+    alpha' = 1/alpha (Albeverio, Gesztesy, Hoegh-Krohn & Holden, Solvable
+    Models in Quantum Mechanics, sec. I.5); (-2*pi*alpha')^-1 is the 2d
+    scattering length.
     """
-    if alpha == 0.0 or not math.isfinite(alpha):
-        raise ValueError("alpha must be nonzero")
+    sigma_p = solve_eeq(PhysicalParams(1.0, 0.5, alpha, 1.0)).energy
     sigma_c = -4.0 * math.exp(-2.0 * EULER_GAMMA - 4.0 * math.pi / alpha)
-    inverse_coupling = 1.0 / alpha
-    sigma_p = -4.0 * math.exp(-2.0 * EULER_GAMMA - 4.0 * math.pi * inverse_coupling)
     rel_diff = abs(sigma_c - sigma_p) / abs(sigma_c)
     return AghhComparison(
         sigma_c=sigma_c,

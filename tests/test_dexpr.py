@@ -200,12 +200,6 @@ def test_product_rule_fires_once_and_leaves_no_splittable_logs():
     assert again == out and trace2 == []
 
 
-def test_log_argument_dimension_check():
-    dx.check_log_argument_dimension(-1, +1)
-    with pytest.raises(dx.ExprConstraintError):
-        dx.check_log_argument_dimension(-1, 0)
-
-
 def test_rewrite_rejects_zero_L():
     with pytest.raises(ValueError):
         rewrite_singular_products(parse_expr("K0(1*r)*delta"), 0.0)

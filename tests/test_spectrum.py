@@ -1,7 +1,12 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from delta2d import spectrum
 from delta2d import (EULER_GAMMA, PhysicalParams, BoundState, aghh_check,
                      b_from_energy, c_spectrum, closed_form_energy,
                      eeq_residual, energy_from_b, solve_eeq)
@@ -49,6 +54,11 @@ def test_solver_matches_closed_form_across_parameters():
         PhysicalParams(1.3, 0.7, 2.5, 0.8),
         PhysicalParams(0.9, 1.8, -0.6, -1.7),
         PhysicalParams(math.sqrt(2.0), 1.0, 1.0, 1.0),
+        # strong coupling: the bracket is a single factor-2 step
+        unit_params(alpha=50.0),
+        unit_params(alpha=-50.0),
+        unit_params(alpha=1e3),
+        unit_params(alpha=-1e3),
     ]
     for p in cases:
         state = solve_eeq(p)
@@ -89,6 +99,25 @@ def test_aghh_singleton_values():
                                          rel=1e-15)
     assert abs(cmp1.sigma_c) == pytest.approx(4.397e-6, rel=1e-3)
     assert cmp1.rel_diff <= 1e-14
+
+
+def test_aghh_check_compares_the_root_found_energy(monkeypatch):
+    solve = spectrum.solve_eeq
+
+    def off_by_1e6(params):
+        state = solve(params)
+        return BoundState(state.b, state.energy * (1.0 + 1e-6))
+
+    monkeypatch.setattr(spectrum, "solve_eeq", off_by_1e6)
+    assert aghh_check(1.0).rel_diff > 1e-7
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import delta2d, sys; print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_aghh_matches_closed_form_at_collapse_point():
