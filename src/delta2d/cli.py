@@ -6,8 +6,8 @@ parsed expression, with trace and mollified probe for singular products),
 and k0 (MacDonald function values).
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage/validation
-error.  Output is deterministic: identical inputs produce byte-identical
-CSV/JSON.
+error or a result outside the double range.  Output is deterministic:
+identical inputs produce byte-identical CSV/JSON.
 """
 
 import argparse
@@ -318,6 +318,10 @@ def cmd_k0(args, stream):
     else:
         xs = [float(v) for v in args.x]
     rows = [{"x": x, "k0": k0(x)} for x in xs]
+    for row in rows:
+        # k0 itself refuses x <= 0 and non-finite x; 0.0 here is underflow
+        if row["k0"] == 0.0:
+            raise ValueError("K0(%r) underflows to 0.0 in double precision" % row["x"])
     _emit(args.format, "k0", rows, {"count": len(rows)}, stream)
     return 0
 
@@ -370,7 +374,7 @@ def main(argv=None, stream=None):
             return cmd_pair(args, stream)
         if args.cmd == "k0":
             return cmd_k0(args, stream)
-    except (ValueError, dexpr.ExprSyntaxError) as exc:
+    except (ValueError, ArithmeticError, dexpr.ExprSyntaxError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except quad.QuadratureError as exc:

@@ -687,7 +687,6 @@ def weak_pair_expr(e, phi, L=1.0, rel_tol=1e-10):
     canon, _ = rewrite_full(e, L=L)
     value = 0.0
     err = 0.0
-    table = []
     for term in canon.terms:
         coeff, leaf = term.coeff, term.child
         if isinstance(leaf, Delta):
@@ -696,16 +695,9 @@ def weak_pair_expr(e, phi, L=1.0, rel_tol=1e-10):
             report = _quad.pair_regular(_radial_callable(leaf), phi, rel_tol=rel_tol)
             value += coeff * report.value
             err += abs(coeff) * report.abs_error_estimate
-            table.extend(report.table)
         else:
             raise RewriteError("cannot pair non-canonical term %s" % print_expr(leaf))
-    return _quad.PairingReport(value, max(err, _last_increment(table)), tuple(table))
-
-
-def _last_increment(table):
-    if len(table) > 1:
-        return abs(table[-1][1] - table[-2][1])
-    return 0.0
+    return _quad.PairingReport(value, err, ())
 
 
 def random_rewritable_expr(rng, depth=3):

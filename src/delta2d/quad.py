@@ -1,18 +1,18 @@
 """Numerical weak pairings on R^2.
 
-Adaptive radial quadrature with geometric grading toward r = 0 (handles
-log-type singularities), mollified delta families as a classical probe of
-products f*delta, and least-squares extraction of the logarithmic
+Every radial integral, with at worst a log singularity at an end, is
+taken by one tanh-sinh (double-exponential) rule whose nodes cluster at
+both ends of the interval; mollified delta families probe products
+f*delta classically, and a least-squares fit extracts the logarithmic
 divergence structure.
 
 A bump centred at c != 0 (d = |c|, radius R) is paired through its
 average over the circles |x| = r.  Each average is taken only over the
 arc that meets the support, by a nested trapezoid rule doubled until two
-levels agree, and r runs only over the annulus [max(0, d - R), d + R]:
-one adaptive pass when the origin lies outside the support, the graded
-mesh of integrate_radial when it lies inside.  The reported error
-estimate is the radial estimate plus the angular part, the largest
-accepted level difference times int 2 pi r |f| dr over the annulus.
+levels agree, and r runs only over the annulus [max(0, d - R), d + R].
+The reported error estimate is the radial estimate plus the angular
+part, the largest accepted level difference times int 2 pi r |f| dr over
+the annulus.
 
 All radial integrands must accept numpy arrays.
 """
@@ -43,6 +43,13 @@ TWO_PI = 2.0 * math.pi
 # re-derive it independently).
 _BUMP_PROFILE_NORM = 0.7885737797126772
 
+# Tanh-sinh rule: t runs over [-_TS_SPAN, _TS_SPAN], where the outermost
+# nodes lie about 1e-37 of the interval from its ends; level k has step
+# 2^-k in t (8 * 2^k + 1 nodes), up to _TS_MAX_LEVEL.
+_TS_SPAN = 4.0
+_TS_MAX_LEVEL = 12
+_ULP = math.ulp(1.0)
+
 # Nested trapezoid rule for arc averages of off-centre bumps: the first
 # level has _ARC_START intervals on [0, w]; each further level halves
 # them.  Bump profiles have root-exponential Fourier decay: on circles
@@ -71,75 +78,58 @@ class PairingReport:
                 raise ValueError("abs_error_estimate below last table increment")
 
 
-_GL_CACHE = {}
+def _tanh_sinh(h, lo, hi, rel_tol):
+    """int_lo^hi h(x) dx by the tanh-sinh rule of Takahasi & Mori.
 
-
-def _gl(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def _panel(h, a, b, n):
-    t, w = _gl(n)
-    x = 0.5 * (b - a) * t + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(np.dot(w, h(x)))
-
-
-def _adaptive_panel(h, a, b, tol, budget, depth=0):
-    budget[0] -= 1
-    if budget[0] <= 0:
-        raise QuadratureError("adaptive refinement budget exhausted")
-    coarse = _panel(h, a, b, 16)
-    fine = _panel(h, a, b, 32)
-    err = abs(fine - coarse)
-    if err <= tol or depth >= 26 or (b - a) < 1e-300:
-        return fine, err
-    mid = 0.5 * (a + b)
-    v1, e1 = _adaptive_panel(h, a, mid, 0.5 * tol, budget, depth + 1)
-    v2, e2 = _adaptive_panel(h, mid, b, 0.5 * tol, budget, depth + 1)
-    return v1 + v2, e1 + e2
+    The nodes are x = lo + gap for t < 0 and hi - gap for t >= 0, with
+    gap = half/(e^u cosh u), half = (hi - lo)/2 and u = (pi/2) sinh|t|,
+    for t in [-_TS_SPAN, _TS_SPAN].  The gap is formed apart from the end
+    it is measured from, so a log singularity at lo = 0 costs no
+    cancellation.  Level k has step 2^-k in t and evaluates only the new
+    odd nodes.  The rule stops once two levels differ by at most rel_tol
+    times int |h| on the same mesh.  Returns (value, estimate, table):
+    the estimate is that difference plus 64 ulp * int |h| for round-off,
+    the table lists (level, value) rows.
+    """
+    half = 0.5 * (hi - lo)
+    total = absolute = 0.0
+    table = []
+    for level in range(_TS_MAX_LEVEL + 1):
+        step = 2.0 ** -level
+        if level == 0:
+            t = np.arange(-_TS_SPAN, _TS_SPAN + 0.5)
+        else:
+            t = np.arange(step - _TS_SPAN, _TS_SPAN, 2.0 * step)
+        u = 0.5 * math.pi * np.sinh(np.abs(t))
+        cosh_u = np.cosh(u)
+        gap = half / (np.exp(u) * cosh_u)
+        y = h(np.where(t < 0.0, lo + gap, hi - gap)) * (np.cosh(t) / (cosh_u * cosh_u))
+        total += float(np.sum(y))
+        absolute += float(np.sum(np.abs(y)))
+        weight = 0.5 * math.pi * half * step
+        table.append((level, weight * total))
+        if level == 0:
+            continue
+        diff = abs(table[-1][1] - table[-2][1])
+        if not math.isfinite(diff):
+            break
+        if diff <= rel_tol * weight * absolute:
+            return table[-1][1], diff + 64.0 * _ULP * weight * absolute, tuple(table)
+    raise QuadratureError(
+        "tanh-sinh quadrature on [%r, %r] did not converge: level %d, last difference %r"
+        % (float(lo), float(hi), level, diff))
 
 
 def integrate_radial(g, r_max, rel_tol=1e-10):
-    """Integral of g(r) * 2*pi*r over (0, r_max] with a graded mesh at 0.
+    """Integral of g(r) * 2*pi*r over (0, r_max] by the tanh-sinh rule.
 
     g must be vectorized and integrable with at worst a log singularity at
-    the origin.  Returns a PairingReport whose table lists (grading depth,
-    partial value) rows.
+    the origin.  Returns a PairingReport whose table lists (level, value)
+    rows, at least two.
     """
     if not (math.isfinite(r_max) and r_max > 0.0):
         raise ValueError("integrate_radial requires r_max > 0")
-
-    def h(r):
-        return TWO_PI * r * g(r)
-
-    table = []
-    prev = None
-    scale = 1.0
-    converged = 0
-    for depth in range(6, 48, 4):
-        cuts = [0.0] + [r_max * 2.0 ** (-k) for k in range(depth, 0, -1)] + [r_max]
-        tol_panel = rel_tol * scale / (4.0 * len(cuts))
-        total = 0.0
-        err_sum = 0.0
-        budget = [20000]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            v, e = _adaptive_panel(h, a, b, tol_panel, budget)
-            total += v
-            err_sum += e
-        table.append((depth, total))
-        scale = 1.0 + abs(total)
-        if prev is not None:
-            inc = abs(total - prev)
-            if inc <= 0.5 * rel_tol * scale:
-                converged += 1
-                if converged >= 2:
-                    return PairingReport(total, max(inc, err_sum), tuple(table))
-            else:
-                converged = 0
-        prev = total
-    raise QuadratureError("radial quadrature did not converge within the refinement budget")
+    return PairingReport(*_tanh_sinh(lambda r: TWO_PI * r * g(r), 0.0, r_max, rel_tol))
 
 
 def _theta_average(phi, prof, r, tol):
@@ -191,14 +181,6 @@ def _theta_average(phi, prof, r, tol):
     return avg, diff
 
 
-def _abs_moment(f, lo, hi):
-    """int_lo^hi 2*pi*r*|f(r)| dr to a few digits, by 32-point panels graded
-    toward lo; it scales the angular part of the error estimate."""
-    cuts = [lo] + [lo + (hi - lo) * 2.0 ** -k for k in range(12, -1, -1)]
-    h = lambda r: TWO_PI * r * np.abs(f(r))
-    return sum(_panel(h, a, b, 32) for a, b in zip(cuts[:-1], cuts[1:]))
-
-
 def _pair_off_centre(f, phi, prof, r_cap, rel_tol):
     """<f, phi> (prof = phi.profile) or <f, lap phi> (prof =
     phi.profile_laplacian) for a bump off the origin, with r limited to
@@ -210,21 +192,15 @@ def _pair_off_centre(f, phi, prof, r_cap, rel_tol):
     tol = _ARC_TOL * rel_tol * abs(float(prof(0.0)))
     worst = [0.0]
 
-    def g(r):
+    def h(r):
         avg, diff = _theta_average(phi, prof, r, tol)
         worst[0] = max(worst[0], float(diff.max()))
-        return f(r) * avg
+        return TWO_PI * r * f(r) * avg
 
-    if d >= R:
-        # f is smooth on the annulus: one adaptive pass, no grading at 0
-        h = lambda r: TWO_PI * r * g(r)
-        scale = 1.0 + abs(_panel(h, lo, hi, 32))
-        value, err = _adaptive_panel(h, lo, hi, 0.25 * rel_tol * scale, [20000])
-        table = ()
-    else:
-        rep = integrate_radial(g, hi, rel_tol=rel_tol)
-        value, err, table = rep.value, rep.abs_error_estimate, rep.table
-    return PairingReport(value, err + worst[0] * _abs_moment(f, lo, hi), table)
+    value, err, table = _tanh_sinh(h, lo, hi, rel_tol)
+    # int 2 pi r |f| only scales the angular part: a few digits suffice
+    moment = _tanh_sinh(lambda r: TWO_PI * r * np.abs(f(r)), lo, hi, 1e-3)[0]
+    return PairingReport(value, err + worst[0] * moment, table)
 
 
 def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):

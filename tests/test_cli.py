@@ -57,6 +57,12 @@ def test_k0_grid_and_validation():
     assert code == 2
 
 
+def test_k0_underflow_is_refused(capsys):
+    code, text = run_cli(["k0", "--x", "800"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: K0(800.0) underflows")
+
+
 def test_spectrum_unit_case():
     code, text = run_cli(["spectrum", "--alpha", "1", "--L", "1:1:1",
                           "--format", "json"])
@@ -97,6 +103,16 @@ def test_spectrum_aghh_row_present_at_collapse_point():
 def test_spectrum_invalid_alpha_is_usage_error():
     code, _ = run_cli(["spectrum", "--alpha", "0", "--L", "1:1:1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("alpha", ["-0.001", "-0.003", "-0.005"])
+def test_spectrum_overflowing_coupling_is_refused(alpha, capsys):
+    # b* exceeds the double range at these weak attractive couplings
+    code, text = run_cli(["spectrum", "--alpha=" + alpha, "--L", "1:1:1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert text == "" and captured.out == ""
 
 
 def test_pair_fundamental_solution():

@@ -10,9 +10,15 @@ from delta2d.quad import PairingReport
 
 from conftest import off_centre_oracle, radial_oracle, suite_bumps
 
-# every off-centre bump of the suite, plus one whose support contains the origin
-OFF_CENTRE = [phi for phi in suite_bumps() if not phi.origin_centered] + [
-    make_bump(1.0, 1.0, (0.4, 0.0))]
+# the whole suite, plus two off-centre bumps whose support contains the origin
+ESTIMATE_BUMPS = suite_bumps() + [make_bump(1.0, 1.0, (0.4, 0.0)),
+                                  make_bump(1.0, 1.0, (0.9, 0.0))]
+
+
+def _bump_id(phi):
+    if phi.origin_centered:
+        return "a=%g,R=%g" % (phi.amplitude, phi.radius)
+    return "c=%g,%g" % phi.center
 
 
 def test_unit_disk_area():
@@ -80,9 +86,9 @@ def test_pair_regular_off_center_against_oracle():
 
 @pytest.mark.parametrize("move_ops", [False, True])
 @pytest.mark.parametrize("kind", ["log", "k0"])
-@pytest.mark.parametrize("phi", OFF_CENTRE, ids=lambda phi: "c=%g,%g" % phi.center)
+@pytest.mark.parametrize("phi", ESTIMATE_BUMPS, ids=_bump_id)
 def test_off_centre_error_estimate_bounds_actual_error(phi, kind, move_ops):
-    # the reported estimate (radial plus angular part) must cover the
+    # the reported estimate (radial, plus the angular part off the origin) must cover the
     # distance to an independent oracle in the bump's own coordinates
     f = np.log if kind == "log" else (lambda r: k0(np.asarray(r, float)))
     rep = pair_regular(f, phi, move_ops=move_ops)
@@ -209,6 +215,34 @@ def test_fit_degenerate_errors():
 
 
 def test_quadrature_nonconvergence_error():
-    # a genuinely non-integrable singularity exhausts the budget
-    with pytest.raises(QuadratureError):
+    # a genuinely non-integrable singularity never converges; the error
+    # names the interval, the level reached and the last difference
+    with pytest.raises(QuadratureError, match=r"on \[0\.0, 1\.0\].*level \d+, last difference \S+"):
         integrate_radial(lambda r: 1.0 / np.asarray(r, float) ** 2, 1.0)
+
+
+@pytest.mark.parametrize("R", [1e-4, 1e3, 1e6])
+def test_origin_pairing_scales_with_bump_radius(R):
+    # <log, phi_R> = R^2 (<log, phi_1> + log R <1, phi_1>) and <log, lap phi_R> = 2 pi
+    phi1 = make_bump(1.0, 1.0)
+    v1 = radial_oracle(lambda r: math.log(r) * float(phi1.profile(r)), 0.0, 1.0,
+                       singular_at_zero=True)
+    m1 = radial_oracle(lambda r: float(phi1.profile(r)), 0.0, 1.0)
+    phi = make_bump(1.0, R)
+    assert pair_regular(np.log, phi).value == pytest.approx(R * R * (v1 + math.log(R) * m1),
+                                                            rel=1e-12)
+    assert pair_regular(np.log, phi, move_ops=True).value == pytest.approx(2.0 * math.pi,
+                                                                           rel=1e-12)
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "bump"])
+def test_mollified_k0_rows_against_quadpack(profile):
+    # each row <K0 delta_eps, phi> against a QUADPACK integral of its own
+    phi = make_bump(1.0, 1.0)
+    fam = MollifierFamily.default(profile)
+    rows = pair_mollified_product(lambda r: k0(np.asarray(r, float)), fam, phi)
+    assert [eps for eps, _ in rows] == list(fam.epsilons)
+    for eps, value in rows:
+        want = radial_oracle(lambda r: k0(r) * float(fam.delta_eps(eps, r) * phi.profile(r)),
+                             0.0, min(phi.radius, fam.cutoff_radius(eps)), singular_at_zero=True)
+        assert value == pytest.approx(want, rel=1e-12)
