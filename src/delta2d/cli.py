@@ -279,16 +279,16 @@ def cmd_pair(args, stream):
                  "detail": repr(report.value), "before": "",
                  "after": "err<=%s" % repr(report.abs_error_estimate)})
     phi0 = phi.at_origin()
-    for prod in _collect_products(expr):
-        fam = quad.MollifierFamily.default("gaussian")
-        fam = quad.MollifierFamily("gaussian",
-                                   tuple(e for e in fam.epsilons if e < phi.radius))
+    # the probe needs widths below the bump radius, the fit two of them
+    eps = tuple(e for e in quad.MollifierFamily.default("gaussian").epsilons if e < phi.radius)
+    for prod in _collect_products(expr) if eps else ():
+        fam = quad.MollifierFamily("gaussian", eps)
         f = dexpr._radial_callable(prod.regular)
         data = quad.pair_mollified_product(f, fam, phi)
-        for eps, val in data:
+        for e, val in data:
             rows.append({"kind": "mollified", "name": dexpr.print_expr(prod),
-                         "detail": "eps=%s" % repr(eps), "before": "", "after": repr(val)})
-        if phi0 != 0.0:
+                         "detail": "eps=%s" % repr(e), "before": "", "after": repr(val)})
+        if phi0 != 0.0 and len(data) >= 2:
             a = prod.regular.a if isinstance(prod.regular, dexpr.K0Radial) else 1.0
             fit = quad.fit_log_divergence(data, phi0, a=a)
             rows.append({"kind": "logfit", "name": dexpr.print_expr(prod),
@@ -317,7 +317,8 @@ def cmd_k0(args, stream):
               for i in range(n)]
     else:
         xs = [float(v) for v in args.x]
-    rows = [{"x": x, "k0": k0(x)} for x in xs]
+    values = k0(np.array(xs)).tolist() if xs else []
+    rows = [{"x": x, "k0": v} for x, v in zip(xs, values)]
     for row in rows:
         # k0 itself refuses x <= 0 and non-finite x; 0.0 here is underflow
         if row["k0"] == 0.0:

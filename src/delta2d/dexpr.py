@@ -681,22 +681,25 @@ def weak_pair_expr(e, phi, L=1.0, rel_tol=1e-10):
     """Weak pairing <e, phi>: rewrite to canonical form, then dispatch.
 
     delta terms are evaluated by point evaluation, regular radial terms by
-    quadrature.  L is only consulted when e still contains singular
+    quadrature, two or more of them on one shared tanh-sinh mesh (see
+    quad._pair_terms).  The value is sum c_i v_i and the estimate
+    sum |c_i| est_i.  L is only consulted when e still contains singular
     products.
     """
     canon, _ = rewrite_full(e, L=L)
-    value = 0.0
-    err = 0.0
+    regular = [t for t in canon.terms if isinstance(t.child, _REGULAR_KINDS)]
+    value = err = 0.0
+    if regular:
+        values, estimates = _quad._pair_terms([_radial_callable(t.child) for t in regular],
+                                              phi, rel_tol)
+        for term, v, est in zip(regular, values, estimates):
+            value += term.coeff * v
+            err += abs(term.coeff) * est
     for term in canon.terms:
-        coeff, leaf = term.coeff, term.child
-        if isinstance(leaf, Delta):
-            value += coeff * phi.at_origin()
-        elif isinstance(leaf, _REGULAR_KINDS):
-            report = _quad.pair_regular(_radial_callable(leaf), phi, rel_tol=rel_tol)
-            value += coeff * report.value
-            err += abs(coeff) * report.abs_error_estimate
-        else:
-            raise RewriteError("cannot pair non-canonical term %s" % print_expr(leaf))
+        if isinstance(term.child, Delta):
+            value += term.coeff * phi.at_origin()
+        elif not isinstance(term.child, _REGULAR_KINDS):
+            raise RewriteError("cannot pair non-canonical term %s" % print_expr(term.child))
     return _quad.PairingReport(value, err, ())
 
 

@@ -6,6 +6,11 @@ both ends of the interval; mollified delta families probe products
 f*delta classically, and a least-squares fit extracts the logarithmic
 divergence structure.
 
+The rule is vector-valued: k integrals, each on its own interval, share
+one t-mesh and one call, every column stopping on its own test.  The
+mollified probe puts every width eps in one call, and weak_pair_expr
+(dexpr) every regular term of an expression that has two or more.
+
 A bump centred at c != 0 (d = |c|, radius R) is paired through its
 average over the circles |x| = r.  Each average is taken only over the
 arc that meets the support, by a nested trapezoid rule doubled until two
@@ -90,8 +95,19 @@ def _tanh_sinh(h, lo, hi, rel_tol):
     times int |h| on the same mesh.  Returns (value, estimate, table):
     the estimate is that difference plus 64 ulp * int |h| for round-off,
     the table lists (level, value) rows.
+
+    lo and hi may also be arrays of shape (k,), one interval per column:
+    every column then shares one t-mesh, h receives nodes shaped (n, k)
+    and returns (n, k), and the value, the estimate and each table value
+    are arrays of shape (k,).  Intervals of shape (1,) give every column
+    of h the same nodes, shaped (n, 1).  The rule stops once every column
+    meets its own test, and a QuadratureError names the column furthest
+    from it.  A column with lo = hi has weight 0: it comes out 0 where h
+    is finite at lo.
     """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
+    column = (-1,) + (1,) * half.ndim
     total = absolute = 0.0
     table = []
     for level in range(_TS_MAX_LEVEL + 1):
@@ -100,24 +116,34 @@ def _tanh_sinh(h, lo, hi, rel_tol):
             t = np.arange(-_TS_SPAN, _TS_SPAN + 0.5)
         else:
             t = np.arange(step - _TS_SPAN, _TS_SPAN, 2.0 * step)
+        t = t.reshape(column)
         u = 0.5 * math.pi * np.sinh(np.abs(t))
         cosh_u = np.cosh(u)
         gap = half / (np.exp(u) * cosh_u)
         y = h(np.where(t < 0.0, lo + gap, hi - gap)) * (np.cosh(t) / (cosh_u * cosh_u))
-        total += float(np.sum(y))
-        absolute += float(np.sum(np.abs(y)))
+        total = total + y.sum(axis=0)
+        absolute = absolute + np.abs(y).sum(axis=0)
         weight = 0.5 * math.pi * half * step
         table.append((level, weight * total))
         if level == 0:
             continue
         diff = abs(table[-1][1] - table[-2][1])
-        if not math.isfinite(diff):
+        bound = rel_tol * weight * absolute
+        if (diff <= bound).all():
+            value, estimate = table[-1][1], diff + 64.0 * _ULP * weight * absolute
+            if np.ndim(value) == 0:
+                return float(value), float(estimate), tuple((i, float(v)) for i, v in table)
+            return value, estimate, tuple(table)
+        if not (diff < math.inf).all():  # a NaN or infinite difference never settles
             break
-        if diff <= rel_tol * weight * absolute:
-            return table[-1][1], diff + 64.0 * _ULP * weight * absolute, tuple(table)
+    # name the column furthest outside its own test (a non-finite one first)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = np.where(diff <= bound, -1.0, np.nan_to_num(diff / bound, nan=np.inf))
+    j = int(np.argmax(excess))
+    lo, hi, diff = (np.broadcast_to(a, np.shape(excess)).flat[j] for a in (lo, hi, diff))
     raise QuadratureError(
         "tanh-sinh quadrature on [%r, %r] did not converge: level %d, last difference %r"
-        % (float(lo), float(hi), level, diff))
+        % (float(lo), float(hi), level, float(diff)))
 
 
 def integrate_radial(g, r_max, rel_tol=1e-10):
@@ -144,10 +170,11 @@ def _theta_average(phi, prof, r, tol):
     arc ends, so the trapezoid rule on [0, w] converges like the periodic
     one.  Levels double, each reusing the nodes of the last, until two
     agree to tol.  Returns the averages and the accepted level
-    differences, arrays shaped like r.
+    differences, arrays shaped like r (of any shape).
     """
     d, R = math.hypot(*phi.center), phi.radius
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
+    shape, r = r.shape, r.ravel()
     gap = np.abs(r - d)
     with np.errstate(divide="ignore", invalid="ignore"):
         half = (R - gap) * (R + gap) / (4.0 * r * d)
@@ -178,29 +205,37 @@ def _theta_average(phi, prof, r, tol):
         diff[active] = np.abs(new - avg[active])
         avg[active] = new
         active = active[diff[active] > tol]
-    return avg, diff
+    return avg.reshape(shape), diff.reshape(shape)
 
 
-def _pair_off_centre(f, phi, prof, r_cap, rel_tol):
-    """<f, phi> (prof = phi.profile) or <f, lap phi> (prof =
-    phi.profile_laplacian) for a bump off the origin, with r limited to
-    the annulus the bump covers and to r <= r_cap."""
+def _pair_columns(g, phi, prof, cap, rel_tol):
+    """int 2 pi r g_j(r) w(r) dr over [max(0, d - R), min(d + R, cap_j)],
+    the part of the annulus phi covers below cap_j, for each column j of
+    g on one tanh-sinh mesh.  w is prof (phi.profile or
+    phi.profile_laplacian) for an origin-centred phi, else its arc average
+    (see _theta_average), shared by every column of a node; the estimate
+    of column j then adds the angular part, the largest accepted angular
+    difference times int 2 pi r |g_j| dr.  cap is a float, or caps of
+    shape (k,) or (1,), which shape the nodes g receives as in _tanh_sinh.
+    Returns (values, estimates, table) as _tanh_sinh does.
+    """
     d, R = math.hypot(*phi.center), phi.radius
-    lo, hi = max(0.0, d - R), min(d + R, r_cap)
-    if hi <= lo:
-        return PairingReport(0.0, 0.0, ())
+    lo = max(0.0, d - R)
+    hi = np.maximum(lo, np.minimum(d + R, cap))
+    if phi.origin_centered:
+        return _tanh_sinh(lambda r: TWO_PI * r * (g(r) * prof(r)), lo, hi, rel_tol)
     tol = _ARC_TOL * rel_tol * abs(float(prof(0.0)))
     worst = [0.0]
 
     def h(r):
         avg, diff = _theta_average(phi, prof, r, tol)
-        worst[0] = max(worst[0], float(diff.max()))
-        return TWO_PI * r * f(r) * avg
+        worst[0] = np.maximum(worst[0], diff.max(axis=0))
+        return TWO_PI * r * g(r) * avg
 
     value, err, table = _tanh_sinh(h, lo, hi, rel_tol)
-    # int 2 pi r |f| only scales the angular part: a few digits suffice
-    moment = _tanh_sinh(lambda r: TWO_PI * r * np.abs(f(r)), lo, hi, 1e-3)[0]
-    return PairingReport(value, err + worst[0] * moment, table)
+    # int 2 pi r |g| only scales the angular part: a few digits suffice
+    moment = _tanh_sinh(lambda r: TWO_PI * r * np.abs(g(r)), lo, hi, 1e-3)[0]
+    return value, err + worst[0] * moment, table
 
 
 def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
@@ -212,10 +247,27 @@ def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
     _theta_average) is integrated over the annulus max(0, d - R) <= r <=
     d + R, and the error estimate adds the angular part to the radial one.
     """
-    w = phi.profile_laplacian if move_ops else phi.profile
-    if not phi.origin_centered:
-        return _pair_off_centre(f, phi, w, math.inf, rel_tol)
-    return integrate_radial(lambda r: f(r) * w(r), phi.radius, rel_tol=rel_tol)
+    prof = phi.profile_laplacian if move_ops else phi.profile
+    if phi.origin_centered:
+        return integrate_radial(lambda r: f(r) * prof(r), phi.radius, rel_tol=rel_tol)
+    value, err, table = _pair_columns(f, phi, prof, math.inf, rel_tol)
+    return PairingReport(value, float(err), table)
+
+
+def _pair_terms(fs, phi, rel_tol):
+    """Lists of <f, phi> and their estimates for the radial functions fs.
+
+    Two or more share one tanh-sinh mesh over the annulus, one column each
+    (see _pair_columns); off the origin one arc average per node then
+    serves every f.  A single f is paired by pair_regular: with k = 1 the
+    column arrays cost more per level than the scalar rule.
+    """
+    if len(fs) == 1:
+        rep = pair_regular(fs[0], phi, rel_tol=rel_tol)
+        return [rep.value], [rep.abs_error_estimate]
+    values, estimates, _ = _pair_columns(lambda r: np.concatenate([f(r) for f in fs], axis=1),
+                                         phi, phi.profile, (math.inf,), rel_tol)
+    return values.tolist(), estimates.tolist()
 
 
 def pair_delta(c, phi):
@@ -265,21 +317,18 @@ def pair_mollified_product(f, fam, phi, rel_tol=1e-10):
     """Classical probe <f * delta_eps, phi> for each eps in the family.
 
     Returns a list of (eps, value) rows.  Each eps must be smaller than the
-    support radius of phi.
+    support radius of phi.  Every eps is one column of a single tanh-sinh
+    call (see _pair_columns): column j runs over the part of the annulus
+    phi covers that lies within the cutoff radius of delta_eps_j, and is 0
+    where that part is empty.
     """
-    for eps in fam.epsilons:
-        if eps >= phi.radius:
-            raise ValueError("mollifier width %g is not below the bump radius %g" % (eps, phi.radius))
-    rows = []
-    for eps in fam.epsilons:
-        g = lambda r, e=eps: f(r) * fam.delta_eps(e, r)
-        if phi.origin_centered:
-            r_hi = min(phi.radius, fam.cutoff_radius(eps))
-            rep = integrate_radial(lambda r: g(r) * phi.profile(r), r_hi, rel_tol=rel_tol)
-        else:
-            rep = _pair_off_centre(g, phi, phi.profile, fam.cutoff_radius(eps), rel_tol)
-        rows.append((eps, rep.value))
-    return rows
+    if fam.epsilons[0] >= phi.radius:
+        raise ValueError("mollifier width %g is not below the bump radius %g"
+                         % (fam.epsilons[0], phi.radius))
+    eps = np.array(fam.epsilons)
+    values = _pair_columns(lambda r: f(r) * fam.delta_eps(eps, r), phi, phi.profile,
+                           fam.cutoff_radius(eps), rel_tol)[0]
+    return list(zip(fam.epsilons, values.tolist()))
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,38 @@ def off_centre_oracle(kind, a, phi, laplacian=False):
     return value, max(err, 1e-13 * (1.0 + abs(value)))
 
 
+def mollified_oracle(f, fam, eps, phi):
+    """<f * delta_eps, phi> by QUADPACK for a bump anywhere: the mean of phi
+    over each circle |x| = r is a QUADPACK integral in theta of the bump
+    profile written with math alone, and r runs over the part of the
+    annulus phi covers inside the cutoff of delta_eps, graded toward r = 0
+    when it starts there.  Both integrals are relative only (epsabs =
+    1e-300), so rows far below 1 keep their digits."""
+    dist, R = math.hypot(*phi.center), phi.radius
+    lo, hi = max(0.0, dist - R), min(dist + R, fam.cutoff_radius(eps))
+    if hi <= lo:
+        return 0.0
+    kwargs = dict(epsabs=1e-300, epsrel=1e-13, limit=200)
+
+    def bump(rho2):
+        s = rho2 / (R * R)
+        return phi.amplitude * math.exp(1.0 - 1.0 / (1.0 - s)) if s < 1.0 else 0.0
+
+    def mean(r):
+        if dist == 0.0:
+            return bump(r * r)
+        a, b = r * r + dist * dist, 2.0 * r * dist
+        return sciquad(lambda t: bump(a - b * math.cos(t)), 0.0, math.pi, **kwargs)[0] / math.pi
+
+    def integrand(r):
+        return 2.0 * math.pi * r * float(f(r)) * float(fam.delta_eps(eps, r)) * mean(r)
+
+    cuts = [lo, hi] if lo > 0.0 else [0.0] + [hi * 2.0 ** -k for k in range(20, -1, -1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return sum(sciquad(integrand, a, b, **kwargs)[0] for a, b in zip(cuts[:-1], cuts[1:]))
+
+
 def suite_bumps():
     """The standard test-function battery: amplitudes {1,2} x radii
     {0.5,1,2,5} at the origin, plus off-center variants that exclude the

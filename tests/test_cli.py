@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from delta2d import make_bump
+from delta2d import k0, make_bump
 from delta2d.cli import main, _parse_alpha, _parse_range
 
 from conftest import off_centre_oracle
@@ -55,6 +55,18 @@ def test_k0_grid_and_validation():
     assert all(r == pytest.approx(ratios[0], rel=1e-12) for r in ratios)
     code, _ = run_cli(["k0", "--grid=-1:10:5"])
     assert code == 2
+
+
+def test_k0_grid_matches_scalar_loop():
+    # one array call gives the bytes the per-x scalar calls gave
+    code, text = run_cli(["k0", "--grid", "1e-6:50:30", "--format", "json"])
+    assert code == 0
+    xs = [row["x"] for row in json.loads(text)["rows"]]
+    want = {"schema_version": 1, "command": "k0", "rows": [{"x": x, "k0": k0(x)} for x in xs],
+            "summary": {"count": len(xs)}}
+    assert text == json.dumps(want, indent=2) + "\n"
+    code, text = run_cli(["k0", "--x", "--format", "json"])
+    assert code == 0 and json.loads(text)["rows"] == []
 
 
 def test_k0_underflow_is_refused(capsys):
@@ -149,6 +161,19 @@ def test_pair_k0_delta_trace_and_value():
     # mollified probe table and its log fit are reported
     kinds = [r["kind"] for r in doc["rows"]]
     assert "mollified" in kinds and "logfit" in kinds
+
+
+@pytest.mark.parametrize("radius", ["1e-4", "5e-5"])
+def test_pair_probe_on_a_tiny_bump(radius):
+    # only eps = 2^-14 lies below 1e-4 (one row, too few to fit) and none
+    # below 5e-5 (no probe)
+    code, text = run_cli(["pair", "--expr", "K0(1.0*r)*delta", "--phi-radius", radius,
+                          "--format", "json"])
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    moll = [r["detail"] for r in rows if r["kind"] == "mollified"]
+    assert moll == (["eps=%r" % 2.0 ** -14] if radius == "1e-4" else [])
+    assert "logfit" not in [r["kind"] for r in rows]
 
 
 def test_pair_log_delta_mollified_table():

@@ -10,6 +10,8 @@ from delta2d import (EULER_GAMMA, make_bump, rescale, parse_expr, print_expr,
                      weak_pair_expr, pair_regular, PhysicalParams)
 from delta2d import dexpr as dx
 
+from conftest import off_centre_oracle
+
 SQRT_PI = math.sqrt(math.pi)
 
 
@@ -303,6 +305,24 @@ def test_weak_pair_matches_moved_operator_pairing(suite):
         sym = weak_pair_expr(parse_expr("lap(log_r)"), phi).value
         num = pair_regular(np.log, phi, move_ops=True).value
         assert abs(sym - num) <= 1e-8
+
+
+@pytest.mark.parametrize("lap", [False, True])
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.4, 0.0), (5.0, 0.0)])
+def test_multi_leaf_pairing_against_oracles(center, lap):
+    # every regular leaf on one shared mesh: the value is sum c_i v_i, and its
+    # distance to the oracles stays within the estimate sum |c_i| est_i
+    text = "log_r + K0(2.0*r) + psi(1.0)"
+    phi = make_bump(1.0, 1.0, center)
+    rep = weak_pair_expr(parse_expr("lap(%s)" % text if lap else text), phi)
+    terms = ((1.0, "log", 1.0), (1.0, "k0", 2.0), (1.0 / math.sqrt(math.pi), "k0", 1.0))
+    want = tol = 0.0
+    for c, kind, a in terms:
+        v, t = off_centre_oracle(kind, a, phi, laplacian=lap)
+        want += c * v
+        tol += c * t
+    assert abs(rep.value - want) <= rep.abs_error_estimate + tol
+    assert rep.value == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_weak_pair_eigen_property():

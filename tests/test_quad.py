@@ -8,7 +8,7 @@ from delta2d import (EULER_GAMMA, k0, make_bump, integrate_radial, pair_regular,
                      MollifierFamily, QuadratureError)
 from delta2d.quad import PairingReport
 
-from conftest import off_centre_oracle, radial_oracle, suite_bumps
+from conftest import mollified_oracle, off_centre_oracle, radial_oracle, suite_bumps
 
 # the whole suite, plus two off-centre bumps whose support contains the origin
 ESTIMATE_BUMPS = suite_bumps() + [make_bump(1.0, 1.0, (0.4, 0.0)),
@@ -246,3 +246,49 @@ def test_mollified_k0_rows_against_quadpack(profile):
         want = radial_oracle(lambda r: k0(r) * float(fam.delta_eps(eps, r) * phi.profile(r)),
                              0.0, min(phi.radius, fam.cutoff_radius(eps)), singular_at_zero=True)
         assert value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("center", [(0.3, 0.2), (1.5, 0.0)])
+@pytest.mark.parametrize("profile", ["gaussian", "bump"])
+def test_mollified_k0_rows_off_centre_against_quadpack(profile, center):
+    # every eps is a column of one shared mesh, each on its own part of the
+    # annulus; at (1.5, 0) the annulus starts at r = 0.5, so the narrow
+    # widths have no overlap with phi and their rows are exactly 0
+    phi = make_bump(1.0, 1.0, center)
+    fam = MollifierFamily.default(profile)
+    rows = pair_mollified_product(lambda r: k0(np.asarray(r, float)), fam, phi)
+    assert [eps for eps, _ in rows] == list(fam.epsilons)
+    for eps, value in rows:
+        want = mollified_oracle(k0, fam, eps, phi)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
+    if center == (1.5, 0.0):
+        assert rows[-1][1] == 0.0
+
+
+def test_vector_core_matches_scalar_columns():
+    # k columns on one t-mesh give each column's scalar value; a scalar
+    # interval keeps float results and a (level, float) table
+    from delta2d.quad import _tanh_sinh
+    cols = [(np.log, 0.0, 1.0), (lambda r: np.exp(-r), 0.0, 10.0), (np.sqrt, 2.0, 3.0)]
+    lo, hi = np.array([c[1] for c in cols]), np.array([c[2] for c in cols])
+    h = lambda r: np.stack([f(r[:, j]) for j, (f, _, _) in enumerate(cols)], axis=1)
+    values, estimates, table = _tanh_sinh(h, lo, hi, 1e-10)
+    assert values.shape == estimates.shape == (3,) and table[-1][1].shape == (3,)
+    for j, (f, a, b) in enumerate(cols):
+        value, estimate, rows = _tanh_sinh(f, a, b, 1e-10)
+        assert type(value) is float and type(estimate) is float
+        assert all(type(v) is float for _, v in rows)
+        assert values[j] == pytest.approx(value, rel=1e-14)
+        assert len(table) >= len(rows) and estimates[j] <= 2.0 * estimate
+    # one interval of shape (1,) serves every column of h
+    shared = _tanh_sinh(lambda r: np.concatenate([np.log(r), r * r], axis=1),
+                        np.zeros(1), np.ones(1), 1e-10)[0]
+    assert shared == pytest.approx([-1.0, 1.0 / 3.0], rel=1e-14)
+
+
+def test_vector_quadrature_error_names_the_worst_column():
+    from delta2d.quad import _tanh_sinh
+    h = lambda r: np.stack([np.exp(-r[:, 0]), 1.0 / r[:, 1] ** 2], axis=1)
+    with pytest.raises(QuadratureError,
+                       match=r"on \[0\.0, 2\.0\] did not converge: level \d+, last difference \S+"):
+        _tanh_sinh(h, np.zeros(2), np.array([1.0, 2.0]), 1e-10)
