@@ -15,14 +15,17 @@ A bump centred at c != 0 (d = |c|, radius R) is paired through its
 average over the circles |x| = r.  Each average is taken only over the
 arc that meets the support, by a nested trapezoid rule doubled until two
 levels agree, and r runs only over the annulus [max(0, d - R), d + R].
-The reported error estimate is the radial estimate plus the angular
-part, the largest accepted level difference times int 2 pi r |f| dr over
-the annulus.
+When the bump contains the origin (d < R) the annulus is cut at r = R - d,
+where the circle leaves the support and the average stops being
+analytic; both segments share the one call.  The reported error estimate
+is the radial estimate plus the angular part, the largest accepted level
+difference times int 2 pi r |f| dr over the annulus (per segment).
 
 All radial integrands must accept numpy arrays.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,8 @@ _BUMP_PROFILE_NORM = 0.7885737797126772
 _TS_SPAN = 4.0
 _TS_MAX_LEVEL = 12
 _ULP = math.ulp(1.0)
+# math.exp(x) overflows for x above this
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # Nested trapezoid rule for arc averages of off-centre bumps: the first
 # level has _ARC_START intervals on [0, w]; each further level halves
@@ -218,12 +223,24 @@ def _pair_columns(g, phi, prof, cap, rel_tol):
     difference times int 2 pi r |g_j| dr.  cap is a float, or caps of
     shape (k,) or (1,), which shape the nodes g receives as in _tanh_sinh.
     Returns (values, estimates, table) as _tanh_sinh does.
+
+    When the bump contains the origin off its centre (0 < d < R), the arc
+    average is smooth but not analytic at r = R - d, where the circle
+    leaves the support, and the rule would lose its double-exponential
+    convergence there.  Each column is then cut at min(R - d, its upper
+    end) into two segments, a leading axis of length 2 in the same call
+    (g's nodes gain that axis too); values, estimates (each segment's
+    radial and angular parts) and table rows are sums over it.
     """
     d, R = math.hypot(*phi.center), phi.radius
     lo = max(0.0, d - R)
     hi = np.maximum(lo, np.minimum(d + R, cap))
     if phi.origin_centered:
         return _tanh_sinh(lambda r: TWO_PI * r * (g(r) * prof(r)), lo, hi, rel_tol)
+    split = d < R
+    if split:
+        kink = np.minimum(R - d, hi)
+        lo, hi = np.stack([np.zeros_like(kink), kink]), np.stack([kink, hi])
     tol = _ARC_TOL * rel_tol * abs(float(prof(0.0)))
     worst = [0.0]
 
@@ -235,7 +252,12 @@ def _pair_columns(g, phi, prof, cap, rel_tol):
     value, err, table = _tanh_sinh(h, lo, hi, rel_tol)
     # int 2 pi r |g| only scales the angular part: a few digits suffice
     moment = _tanh_sinh(lambda r: TWO_PI * r * np.abs(g(r)), lo, hi, 1e-3)[0]
-    return value, err + worst[0] * moment, table
+    err = err + worst[0] * moment
+    if not split:
+        return value, err, table
+    if np.ndim(cap) == 0:
+        return float(value.sum()), float(err.sum()), tuple((i, float(v.sum())) for i, v in table)
+    return value.sum(axis=0), err.sum(axis=0), tuple((i, v.sum(axis=0)) for i, v in table)
 
 
 def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
@@ -265,7 +287,7 @@ def _pair_terms(fs, phi, rel_tol):
     if len(fs) == 1:
         rep = pair_regular(fs[0], phi, rel_tol=rel_tol)
         return [rep.value], [rep.abs_error_estimate]
-    values, estimates, _ = _pair_columns(lambda r: np.concatenate([f(r) for f in fs], axis=1),
+    values, estimates, _ = _pair_columns(lambda r: np.concatenate([f(r) for f in fs], axis=-1),
                                          phi, phi.profile, (math.inf,), rel_tol)
     return values.tolist(), estimates.tolist()
 
@@ -344,7 +366,8 @@ def fit_log_divergence(data, phi0, a=1.0):
 
     For data of the K0(a*r)*delta_eps type the fitted line is interpreted
     as value = -phi0*log((1/2)*e^gamma*a*eps/c), which defines the
-    finite-part scale constant c.
+    finite-part scale constant c.  Where e^(intercept/phi0) overflows, c is
+    formed from its logarithm: inf past the float range, 0.0 below it.
     """
     eps = [float(e) for e, _ in data]
     vals = [float(v) for _, v in data]
@@ -357,5 +380,10 @@ def fit_log_divergence(data, phi0, a=1.0):
     x = np.log(eps)
     slope, intercept = np.polyfit(x, vals, 1)
     residual = float(np.max(np.abs(slope * x + intercept - np.asarray(vals))))
-    c = 0.5 * math.exp(EULER_GAMMA) * a * math.exp(intercept / phi0)
+    power = intercept / phi0
+    if not power > _LOG_FLOAT_MAX:
+        c = 0.5 * math.exp(EULER_GAMMA) * a * math.exp(power)
+    else:
+        log_c = math.log(0.5 * a) + EULER_GAMMA + power
+        c = math.exp(log_c) if log_c < _LOG_FLOAT_MAX else math.inf
     return LogFitResult(float(slope), float(intercept), c, residual)

@@ -36,14 +36,6 @@ def _shape_d1(s):
     return np.where(inside, -_shape(safe) / (1.0 - safe) ** 2, 0.0)
 
 
-def _shape_d2(s):
-    """f''(s) = f(s)*(2s-1)/(1-s)^4."""
-    s = np.asarray(s, dtype=float)
-    inside = s < 1.0 - _EDGE
-    safe = np.where(inside, s, 0.0)
-    return np.where(inside, _shape(safe) * (2.0 * safe - 1.0) / (1.0 - safe) ** 4, 0.0)
-
-
 @dataclass(frozen=True)
 class BumpFunction:
     amplitude: float
@@ -77,9 +69,16 @@ class BumpFunction:
         return self.amplitude * _shape_d1(s) * 2.0 * r / self.radius**2
 
     def profile_laplacian(self, r):
-        """2D Laplacian at distance r from the center (radial formula)."""
+        """2D Laplacian at distance r from the center (radial formula):
+        4 A / R^2 * (s f''(s) + f'(s)), f' as in _shape_d1 and
+        f''(s) = f(s)*(2s-1)/(1-s)^4, the exponential f taken once."""
         s = (np.asarray(r, dtype=float) / self.radius) ** 2
-        return (4.0 * self.amplitude / self.radius**2) * (_shape_d2(s) * s + _shape_d1(s))
+        inside = s < 1.0 - _EDGE
+        safe = np.where(inside, s, 0.0)
+        f = np.exp(1.0 - 1.0 / (1.0 - safe))
+        d1 = np.where(inside, -f / (1.0 - safe) ** 2, 0.0)
+        d2 = np.where(inside, f * (2.0 * safe - 1.0) / (1.0 - safe) ** 4, 0.0)
+        return (4.0 * self.amplitude / self.radius**2) * (d2 * s + d1)
 
     # -- Cartesian API -----------------------------------------------------
 

@@ -176,6 +176,22 @@ def test_pair_probe_on_a_tiny_bump(radius):
     assert "logfit" not in [r["kind"] for r in rows]
 
 
+def test_pair_log_fit_scale_overflow_near_the_support_edge():
+    # phi(0) = 4e-22 at centre (0.99, 0): intercept/phi0 is about 3e18, so
+    # the fitted scale overflows; it is reported as inf and every other row
+    # stands (the fit itself means nothing this far from the log regime)
+    code, text = run_cli(["pair", "--expr", "K0(1.0*r)*delta", "--phi-center", "0.99,0",
+                          "--format", "json"])
+    assert code == 0
+    doc = json.loads(text)
+    phi0 = make_bump(1.0, 1.0, (0.99, 0.0)).at_origin()
+    gamma = 0.5772156649015329
+    assert doc["summary"]["value"] == pytest.approx(-(math.log(0.5) + gamma) * phi0, rel=1e-12)
+    assert len([r for r in doc["rows"] if r["kind"] == "mollified"]) == 11
+    (fit,) = [r["detail"] for r in doc["rows"] if r["kind"] == "logfit"]
+    assert " scale=inf " in fit
+
+
 def test_pair_log_delta_mollified_table():
     code, text = run_cli(["pair", "--expr", "log_r*delta", "--phi-radius", "2.0",
                           "--format", "json"])

@@ -96,6 +96,34 @@ def test_off_centre_error_estimate_bounds_actual_error(phi, kind, move_ops):
     assert abs(rep.value - want) <= rep.abs_error_estimate + oracle_tol
 
 
+@pytest.mark.parametrize("move_ops", [False, True])
+@pytest.mark.parametrize("kind", ["log", "k0"])
+@pytest.mark.parametrize("q", [1e-6, 0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 0.999])
+def test_bump_containing_the_origin_is_cut_at_its_kink(q, kind, move_ops):
+    # with 0 < d < R the annulus is cut at r = R - d, where the circle leaves
+    # the support and the arc average stops being analytic: both segments
+    # converge double-exponentially, so no pairing needs more than 6 levels
+    R = 1.3
+    phi = make_bump(1.0, R, (0.6 * q * R, 0.8 * q * R))
+    f = np.log if kind == "log" else (lambda r: k0(np.asarray(r, float)))
+    rep = pair_regular(f, phi, move_ops=move_ops)
+    want, oracle_tol = off_centre_oracle(kind, 1.0, phi, laplacian=move_ops)
+    assert abs(rep.value - want) <= rep.abs_error_estimate + oracle_tol
+    assert len(rep.table) - 1 <= 6
+    assert type(rep.value) is float and all(type(v) is float for _, v in rep.table)
+
+
+def test_k0_estimate_bounds_its_error_at_d_near_0_39_R():
+    # d ~ 0.39R: without the cut this pairing stopped at level 6 with an
+    # estimate of 5.35e-12 against an actual error of 1.56e-11
+    a = 0.963072832203826
+    phi = make_bump(0.906100844685653, 0.9674833986401044,
+                    (0.2085667789979115, 0.31488104331325617))
+    rep = pair_regular(lambda r: k0(a * r), phi)
+    want, oracle_tol = off_centre_oracle("k0", a, phi)
+    assert abs(rep.value - want) <= rep.abs_error_estimate + oracle_tol
+
+
 def test_angular_average_failure_names_its_stage(monkeypatch):
     import delta2d.quad as quad
     monkeypatch.setattr(quad, "_ARC_MAX_LEVEL", 1)
@@ -207,6 +235,18 @@ def test_fit_exact_line():
     assert fit.effective_scale_constant > 0.0
 
 
+def test_fit_scale_past_the_float_range():
+    # e^(intercept/phi0) = e^1000 overflows: the scale is inf, or 0.0 when
+    # phi0 flips its sign, and a small rate a brings it back in range
+    data = [(0.5, 1000.0), (0.25, 1000.0)]
+    assert fit_log_divergence(data, 1.0).effective_scale_constant == math.inf
+    assert fit_log_divergence(data, -1.0).effective_scale_constant == 0.0
+    data = [(0.5, 710.0), (0.25, 710.0)]
+    want = 0.5 * math.exp(EULER_GAMMA) * 1e-300 * math.exp(355.0) * math.exp(355.0)
+    got = fit_log_divergence(data, 1.0, a=1e-300).effective_scale_constant
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_fit_degenerate_errors():
     with pytest.raises(ValueError):
         fit_log_divergence([(0.1, 1.0), (0.1, 2.0)], 1.0)
@@ -248,12 +288,13 @@ def test_mollified_k0_rows_against_quadpack(profile):
         assert value == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("center", [(0.3, 0.2), (1.5, 0.0)])
+@pytest.mark.parametrize("center", [(0.3, 0.2), (1.5, 0.0), (0.9, 0.0)])
 @pytest.mark.parametrize("profile", ["gaussian", "bump"])
 def test_mollified_k0_rows_off_centre_against_quadpack(profile, center):
     # every eps is a column of one shared mesh, each on its own part of the
     # annulus; at (1.5, 0) the annulus starts at r = 0.5, so the narrow
-    # widths have no overlap with phi and their rows are exactly 0
+    # widths have no overlap with phi and their rows are exactly 0; at
+    # (0.9, 0) the cutoffs fall on both sides of the cut at R - d = 0.1
     phi = make_bump(1.0, 1.0, center)
     fam = MollifierFamily.default(profile)
     rows = pair_mollified_product(lambda r: k0(np.asarray(r, float)), fam, phi)

@@ -38,6 +38,22 @@ def test_laplacian_at_center_closed_form():
     assert make_bump(2.0, 3.0).laplacian((0.0, 0.0)) == pytest.approx(-8.0 / 9.0, rel=1e-14)
 
 
+def test_profile_laplacian_matches_the_derivative_formula_exactly():
+    # 4 A / R^2 * (s f''(s) + f'(s)) with f(s) = exp(1 - 1/(1 - s)),
+    # f'(s) = -f(s)/(1-s)^2 and f''(s) = f(s)*(2s-1)/(1-s)^4, each derivative
+    # taking its own exponential, must agree to the last bit
+    amp, radius = 1.7, 1.3
+    r = np.linspace(0.0, 1.2 * radius, 100001)
+    s = (r / radius) ** 2
+    inside = s < 1.0 - 1e-12
+    safe = np.where(inside, s, 0.0)
+    f = lambda s: np.exp(1.0 - 1.0 / (1.0 - s))
+    d1 = np.where(inside, -f(safe) / (1.0 - safe) ** 2, 0.0)
+    d2 = np.where(inside, f(safe) * (2.0 * safe - 1.0) / (1.0 - safe) ** 4, 0.0)
+    want = (4.0 * amp / radius**2) * (d2 * s + d1)
+    assert np.array_equal(make_bump(amp, radius).profile_laplacian(r), want)
+
+
 def test_finite_difference_gradient_and_laplacian():
     phi = make_bump(1.7, 1.3, (0.2, -0.4))
     h = 1e-4
