@@ -11,15 +11,28 @@ one t-mesh and one call, every column stopping on its own test.  The
 mollified probe puts every width eps in one call, and weak_pair_expr
 (dexpr) every regular term of an expression that has two or more.
 
-A bump centred at c != 0 (d = |c|, radius R) is paired through its
-average over the circles |x| = r.  Each average is taken only over the
-arc that meets the support, by a nested trapezoid rule doubled until two
-levels agree, and r runs only over the annulus [max(0, d - R), d + R].
-When the bump contains the origin (d < R) the annulus is cut at r = R - d,
-where the circle leaves the support and the average stops being
-analytic; both segments share the one call.  The reported error estimate
-is the radial estimate plus the angular part, the largest accepted level
-difference times int 2 pi r |f| dr over the annulus (per segment).
+A bump centred at c != 0 (d = |c|, radius R) is paired in one of two
+frames, both through circle averages taken by a nested trapezoid rule
+doubled until two levels agree (_theta_average):
+
+- Bump frame, d >= _KAPPA * R (1.6 R): <f, w> = int_0^R 2 pi rho w(rho)
+  M_f(rho) drho, with w the bump profile (or its Laplacian) and M_f(rho)
+  the mean of f(|x|) over the circle |x - c| = rho.  That circle never
+  meets the origin, so the angular rule converges like (rho/d)^n, and
+  no arc width is formed from r - d, which loses digits as d/R grows.
+  The radial and angular tests take their scale from the mean of |f|
+  over each circle, not from M_f, which cancels to 0 for log at d = 1.
+- Origin frame, d < _KAPPA * R, and every mollified probe: f times the
+  average of the bump over the circles |x| = r, each taken only over the
+  arc that meets the support, with r only over the annulus
+  [max(0, d - R), d + R].  When the bump contains the origin (d < R) the
+  annulus is cut at r = R - d, where the circle leaves the support and
+  the average stops being analytic; both segments share the one call.
+
+The reported error estimate is the radial estimate plus the angular
+part: the largest accepted angular difference times int 2 pi r |f| dr
+over the annulus (origin frame, per segment) or int 2 pi rho |w| drho
+(bump frame).
 
 All radial integrands must accept numpy arrays.
 """
@@ -67,12 +80,28 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _ARC_START = 8
 _ARC_MAX_LEVEL = 12
 # The angular rule stops when two levels agree to this fraction of
-# rel_tol * |profile(0)|.
+# rel_tol * |profile(0)| (origin frame) or rel_tol * the largest mean of
+# |f| over the circles of one radial level (bump frame).
 _ARC_TOL = 1e-3
+# A bump centred at d >= _KAPPA * R is paired in its own frame: its
+# circles |x - c| = rho <= R then stay at least 0.375 d from the origin.
+_KAPPA = 1.6
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement failed to reach the requested tolerance."""
+    """Adaptive refinement failed to reach the requested tolerance.
+
+    stage is "radial" for the tanh-sinh rule, whose failing column ran
+    over interval = (lo, hi), or "angular" for a circle average, whose
+    failing circle has radius r; level is the last level reached and
+    last_difference the difference between its last two levels.
+    """
+
+    def __init__(self, message, stage=None, interval=None, r=None, level=None,
+                 last_difference=None):
+        super().__init__(message)
+        self.stage, self.interval, self.r = stage, interval, r
+        self.level, self.last_difference = level, last_difference
 
 
 @dataclass(frozen=True)
@@ -109,6 +138,10 @@ def _tanh_sinh(h, lo, hi, rel_tol):
     meets its own test, and a QuadratureError names the column furthest
     from it.  A column with lo = hi has weight 0: it comes out 0 where h
     is finite at lo.
+
+    h may instead return a pair (y, s) with s >= |y|: the test and the
+    round-off floor then take int s as their scale in place of int |y|,
+    for integrands that cancel to about 0 while their parts do not.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
@@ -125,9 +158,12 @@ def _tanh_sinh(h, lo, hi, rel_tol):
         u = 0.5 * math.pi * np.sinh(np.abs(t))
         cosh_u = np.cosh(u)
         gap = half / (np.exp(u) * cosh_u)
-        y = h(np.where(t < 0.0, lo + gap, hi - gap)) * (np.cosh(t) / (cosh_u * cosh_u))
+        y = h(np.where(t < 0.0, lo + gap, hi - gap))
+        y, s = y if isinstance(y, tuple) else (y, None)
+        dt = np.cosh(t) / (cosh_u * cosh_u)
+        y = y * dt
         total = total + y.sum(axis=0)
-        absolute = absolute + np.abs(y).sum(axis=0)
+        absolute = absolute + (np.abs(y) if s is None else s * dt).sum(axis=0)
         weight = 0.5 * math.pi * half * step
         table.append((level, weight * total))
         if level == 0:
@@ -145,10 +181,11 @@ def _tanh_sinh(h, lo, hi, rel_tol):
     with np.errstate(divide="ignore", invalid="ignore"):
         excess = np.where(diff <= bound, -1.0, np.nan_to_num(diff / bound, nan=np.inf))
     j = int(np.argmax(excess))
-    lo, hi, diff = (np.broadcast_to(a, np.shape(excess)).flat[j] for a in (lo, hi, diff))
+    lo, hi, diff = (float(np.broadcast_to(a, np.shape(excess)).flat[j]) for a in (lo, hi, diff))
     raise QuadratureError(
         "tanh-sinh quadrature on [%r, %r] did not converge: level %d, last difference %r"
-        % (float(lo), float(hi), level, float(diff)))
+        % (lo, hi, level, diff), stage="radial", interval=(lo, hi), level=level,
+        last_difference=diff)
 
 
 def integrate_radial(g, r_max, rel_tol=1e-10):
@@ -163,54 +200,79 @@ def integrate_radial(g, r_max, rel_tol=1e-10):
     return PairingReport(*_tanh_sinh(lambda r: TWO_PI * r * g(r), 0.0, r_max, rel_tol))
 
 
-def _theta_average(phi, prof, r, tol):
-    """Average over each circle |x| = r of a radial function of |x - c|,
-    prof (phi.profile or phi.profile_laplacian), c the centre of phi.
+def _theta_average(fn, d, R, r, atol, rtol=0.0):
+    """Mean of fn(|x - p|) over each circle of radius r about a point q,
+    where |p - q| = d and fn vanishes farther than R from p.
 
-    With d = |c| and R = phi.radius, the circle meets the support on the
-    arc |theta - theta_c| < w(r), w = arccos((r^2 + d^2 - R^2) / (2 r d)),
-    taken here as 2 arcsin of the root of (R^2 - (r - d)^2) / (4 r d),
-    which keeps thin arcs far out; w = pi once the circle lies inside the
-    support.  The integrand is even in theta - theta_c and flat where the
-    arc ends, so the trapezoid rule on [0, w] converges like the periodic
-    one.  Levels double, each reusing the nodes of the last, until two
-    agree to tol.  Returns the averages and the accepted level
-    differences, arrays shaped like r (of any shape).
+    The origin frame averages a bump profile (p its centre c, q = 0,
+    R = phi.radius) over the circles |x| = r; the bump frame averages a
+    radial function f of |x| (p = 0, q = c, R = inf) over the circles
+    |x - c| = r.  Measured from the point of the circle nearest p, a node
+    at angle theta lies at |x - p| = hypot(r - d, 2 sqrt(r d) sin(theta/2))
+    from p, written without cancellation near 0.  The circle meets the
+    support on the arc |theta| < w(r), w = arccos((r^2 + d^2 - R^2) /
+    (2 r d)), taken here as 2 arcsin of the root of (R^2 - (r - d)^2) /
+    (4 r d), which keeps thin arcs far out; w = pi once the circle lies
+    inside the support, as it always does for R = inf.  The integrand is
+    even in theta and flat where the arc ends, so the trapezoid rule on
+    [0, w] converges like the periodic one.  Levels double, each reusing
+    the nodes of the last, until two agree to atol + rtol * scale, where
+    a circle's scale is the mean of |fn| over its first level's nodes and
+    the test takes the largest scale among the circles of the call (per
+    column).  A circle's own scale can be as small as r near a zero of fn
+    (log |x| about |c| = 1), where fn's round-off is not.
+
+    r may have any shape.  fn receives distances shaped (nodes, angles)
+    and returns that shape, or that shape plus a trailing column axis,
+    each column averaged on the same angles.  Returns the averages, the
+    accepted level differences and the scales, shaped r.shape plus the
+    column axis.
     """
-    d, R = math.hypot(*phi.center), phi.radius
     r = np.asarray(r, dtype=float)
     shape, r = r.shape, r.ravel()
-    gap = np.abs(r - d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        half = (R - gap) * (R + gap) / (4.0 * r * d)
-    w = 2.0 * np.arcsin(np.sqrt(np.clip(np.nan_to_num(half, nan=0.0), 0.0, 1.0)))
+    full = R == math.inf  # every circle lies inside the support: one set of angles
+    if full:
+        w = np.full(r.shape, math.pi)
+    else:
+        gap = np.abs(r - d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            half = (R - gap) * (R + gap) / (4.0 * r * d)
+        w = 2.0 * np.arcsin(np.sqrt(np.clip(np.nan_to_num(half, nan=0.0), 0.0, 1.0)))
+    near, chord = r - d, 2.0 * np.sqrt(r * d)
 
     def arc(rows, frac):
-        # rho = |r e^{it} - c| written without cancellation near rho = 0
-        rr, t = r[rows, None], w[rows, None] * frac
-        return prof(np.hypot(rr - d, 2.0 * np.sqrt(rr * d) * np.sin(0.5 * t)))
+        t = math.pi * frac if full else w[rows, None] * frac
+        return fn(np.hypot(near[rows, None], chord[rows, None] * np.sin(0.5 * t)))
 
     n = _ARC_START
     vals = arc(slice(None), np.arange(n + 1) / n)
+    span = w.reshape(w.shape + (1,) * (vals.ndim - 2))  # w on the column axis
     sums = vals[:, 1:-1].sum(axis=1) + 0.5 * (vals[:, 0] + vals[:, -1])
-    avg = sums * w / (math.pi * n)
-    diff = np.zeros_like(r)
+    avg = sums * span / (math.pi * n)
+    vals = np.abs(vals)
+    scale = (vals[:, 1:-1].sum(axis=1) + 0.5 * (vals[:, 0] + vals[:, -1])) * span / (math.pi * n)
+    tol = atol + rtol * scale.max(axis=0)
+    diff = np.zeros_like(avg)
     active = np.flatnonzero(w > 0.0)
     level = 0
     while active.size:
         if level == _ARC_MAX_LEVEL:
-            i = active[np.argmax(diff[active])]
+            gaps = diff[active].reshape(active.size, -1)
+            i, j = divmod(int(np.argmax(gaps - tol)), gaps.shape[1])
+            rho, last = float(r[active[i]]), float(gaps[i, j])
             raise QuadratureError(
                 "angular average did not converge at r=%r: level %d, last difference %r"
-                % (float(r[i]), level, float(diff[i])))
+                % (rho, level, last), stage="angular", r=rho, level=level, last_difference=last)
         sums[active] += arc(active, (2.0 * np.arange(n) + 1.0) / (2 * n)).sum(axis=1)
         n *= 2
         level += 1
-        new = sums[active] * w[active] / (math.pi * n)
+        new = sums[active] * span[active] / (math.pi * n)
         diff[active] = np.abs(new - avg[active])
         avg[active] = new
-        active = active[diff[active] > tol]
-    return avg.reshape(shape), diff.reshape(shape)
+        late = diff[active] > tol
+        active = active[late if late.ndim == 1 else late.any(axis=1)]
+    extra = avg.shape[1:]
+    return avg.reshape(shape + extra), diff.reshape(shape + extra), scale.reshape(shape + extra)
 
 
 def _pair_columns(g, phi, prof, cap, rel_tol):
@@ -224,6 +286,10 @@ def _pair_columns(g, phi, prof, cap, rel_tol):
     shape (k,) or (1,), which shape the nodes g receives as in _tanh_sinh.
     Returns (values, estimates, table) as _tanh_sinh does.
 
+    A bump centred at d >= _KAPPA * R with no cap (every cap_j = inf) is
+    paired in its own frame instead (see _pair_in_bump_frame); a finite
+    cap bounds |x|, which only the origin frame can follow.
+
     When the bump contains the origin off its centre (0 < d < R), the arc
     average is smooth but not analytic at r = R - d, where the circle
     leaves the support, and the rule would lose its double-exponential
@@ -233,6 +299,8 @@ def _pair_columns(g, phi, prof, cap, rel_tol):
     radial and angular parts) and table rows are sums over it.
     """
     d, R = math.hypot(*phi.center), phi.radius
+    if d >= _KAPPA * R and np.all(np.isinf(cap)):
+        return _pair_in_bump_frame(g, d, R, prof, np.ndim(cap) > 0, rel_tol)
     lo = max(0.0, d - R)
     hi = np.maximum(lo, np.minimum(d + R, cap))
     if phi.origin_centered:
@@ -245,7 +313,7 @@ def _pair_columns(g, phi, prof, cap, rel_tol):
     worst = [0.0]
 
     def h(r):
-        avg, diff = _theta_average(phi, prof, r, tol)
+        avg, diff, _ = _theta_average(prof, d, R, r, tol)
         worst[0] = np.maximum(worst[0], diff.max(axis=0))
         return TWO_PI * r * g(r) * avg
 
@@ -260,14 +328,51 @@ def _pair_columns(g, phi, prof, cap, rel_tol):
     return value.sum(axis=0), err.sum(axis=0), tuple((i, v.sum(axis=0)) for i, v in table)
 
 
+def _pair_in_bump_frame(g, d, R, prof, columns, rel_tol):
+    """int 2 pi rho w(rho) M_j(rho) drho over [0, R] for a bump centred at
+    distance d >= _KAPPA * R, w = prof, and M_j the mean of g_j over the
+    circle |x - c| = rho (see _theta_average).  That circle stays clear of
+    the origin, so the trapezoid rule in theta converges like (rho/d)^n,
+    and no arc width or r - d is formed.
+
+    Both tests take their scale from S_j(rho), the mean of |g_j| over the
+    circle's first angular level (already evaluated), never from M_j,
+    which cancels to 0 for log |x| at d = 1: the radial rule's int |h| is
+    int 2 pi rho |w| S_j, and the angular tolerance is _ARC_TOL * rel_tol
+    times the largest S_j among the circles of the radial level.  The
+    estimate adds the largest accepted angular difference times
+    int 2 pi rho |w|.  With columns set, g maps distances shaped (..., 1)
+    to k columns (..., k), the nodes are shaped (n, 1) and the results
+    have shape (k,), as in _pair_columns.
+    """
+    fn = (lambda x: g(x[..., None])) if columns else g
+    lo, hi = (np.zeros(1), np.full(1, R)) if columns else (0.0, R)
+    worst = [0.0]
+
+    def h(rho):
+        mean, diff, scale = _theta_average(fn, d, math.inf, rho.ravel(), 0.0, _ARC_TOL * rel_tol)
+        worst[0] = np.maximum(worst[0], diff.max(axis=0))
+        weight = TWO_PI * rho * prof(rho)
+        return weight * mean, np.abs(weight) * scale
+
+    value, err, table = _tanh_sinh(h, lo, hi, rel_tol)
+    # int 2 pi rho |w| only scales the angular part: a few digits suffice
+    moment = _tanh_sinh(lambda rho: TWO_PI * rho * np.abs(prof(rho)), 0.0, R, 1e-3)[0]
+    return value, err + worst[0] * moment, table
+
+
 def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
     """Weak pairing <f, phi> (or <f, lap phi> when move_ops is set).
 
     f is a radial function of r = |x|, locally integrable with at worst a
     log singularity at the origin.  Origin-centered phi reduces to a 1D
-    radial integral.  Otherwise f times the arc average of phi (see
-    _theta_average) is integrated over the annulus max(0, d - R) <= r <=
-    d + R, and the error estimate adds the angular part to the radial one.
+    radial integral.  A phi centred at d >= _KAPPA * R is paired in its
+    own frame: the profile times the mean of f over each circle
+    |x - c| = rho, rho in [0, R] (see _pair_in_bump_frame).  Otherwise f
+    times the arc average of phi (see _theta_average) is integrated over
+    the annulus max(0, d - R) <= r <= d + R, cut at R - d when phi
+    contains the origin.  Off the origin the error estimate adds the
+    angular part to the radial one.
     """
     prof = phi.profile_laplacian if move_ops else phi.profile
     if phi.origin_centered:
@@ -279,10 +384,12 @@ def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
 def _pair_terms(fs, phi, rel_tol):
     """Lists of <f, phi> and their estimates for the radial functions fs.
 
-    Two or more share one tanh-sinh mesh over the annulus, one column each
-    (see _pair_columns); off the origin one arc average per node then
-    serves every f.  A single f is paired by pair_regular: with k = 1 the
-    column arrays cost more per level than the scalar rule.
+    Two or more share one tanh-sinh mesh, one column each (see
+    _pair_columns).  In the origin frame one arc average of phi per node
+    serves every f; in the bump frame each f needs its own circle mean,
+    but all share one set of angles per node.  A single f is paired by
+    pair_regular: with k = 1 the column arrays cost more per level than
+    the scalar rule.
     """
     if len(fs) == 1:
         rep = pair_regular(fs[0], phi, rel_tol=rel_tol)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from delta2d import (EULER_GAMMA, k0, make_bump, integrate_radial, pair_regular,
+from delta2d import (EULER_GAMMA, k0, make_bump, rescale, integrate_radial, pair_regular,
                      pair_delta, pair_mollified_product, fit_log_divergence,
                      MollifierFamily, QuadratureError)
 from delta2d.quad import PairingReport
@@ -124,11 +125,65 @@ def test_k0_estimate_bounds_its_error_at_d_near_0_39_R():
     assert abs(rep.value - want) <= rep.abs_error_estimate + oracle_tol
 
 
-def test_angular_average_failure_names_its_stage(monkeypatch):
+def _check_angular_failure(monkeypatch, center):
     import delta2d.quad as quad
     monkeypatch.setattr(quad, "_ARC_MAX_LEVEL", 1)
-    with pytest.raises(QuadratureError, match=r"angular average .* r=\S+: level 1, last difference \S+"):
-        pair_regular(np.log, make_bump(1.0, 1.0, (3.0, 0.0)), move_ops=True)
+    with pytest.raises(QuadratureError, match=r"angular average .* r=\S+: level 1, last difference \S+") as exc:
+        pair_regular(np.log, make_bump(1.0, 1.0, center), move_ops=True)
+    err = exc.value
+    assert err.stage == "angular" and err.level == 1 and err.interval is None
+    assert 0.0 < err.r < 1.4 and err.last_difference > 0.0
+    assert "r=%r" % err.r in str(err) and "difference %r" % err.last_difference in str(err)
+
+
+def test_angular_average_failure_names_its_stage(monkeypatch):
+    # (3, 0) is paired in the bump's own frame: r is the radius of a circle about the centre
+    _check_angular_failure(monkeypatch, (3.0, 0.0))
+
+
+def test_angular_average_failure_names_its_stage_in_the_origin_frame(monkeypatch):
+    _check_angular_failure(monkeypatch, (0.4, 0.0))
+
+
+@pytest.mark.parametrize("move_ops", [False, True])
+@pytest.mark.parametrize("q", [1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+@pytest.mark.parametrize("R", [1e-4, 1.0])
+def test_thin_far_bump_against_oracle(R, q, move_ops):
+    # d/R up to 1e12: paired in the bump's frame, no arc width from r - d is formed,
+    # so nothing is lost to cancellation and nothing raises
+    phi = make_bump(1.0, R, (0.6 * q * R, -0.8 * q * R))
+    rep = pair_regular(np.log, phi, move_ops=move_ops)
+    want, oracle_tol = off_centre_oracle("log", 1.0, phi, laplacian=move_ops)
+    assert abs(rep.value - want) <= rep.abs_error_estimate + oracle_tol
+    if not move_ops:
+        assert rep.value == pytest.approx(want, rel=1e-13)
+
+
+def test_multi_term_pairing_of_a_thin_far_bump():
+    # two regular terms share one mesh in the bump frame, each with its own circle mean
+    from delta2d import parse_expr, weak_pair_expr
+    phi = make_bump(1.0, 1e-4, (1e6, 0.0))
+    rep = weak_pair_expr(parse_expr("log_r + K0(1.0*r)"), phi)
+    (log_v, log_tol), (k0_v, k0_tol) = (off_centre_oracle(k, 1.0, phi) for k in ("log", "k0"))
+    assert abs(rep.value - (log_v + k0_v)) <= rep.abs_error_estimate + log_tol + k0_tol
+    assert rep.value == pytest.approx(log_v, rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(log_s=st.floats(-6.0, 6.0), q=st.sampled_from([0.0, 0.4, 1.75, 4.5, 1e9]),
+       kind=st.sampled_from(["log", "k0"]))
+def test_pairing_is_scale_covariant(log_s, q, kind):
+    # s^2 <f(s.), phi(s.)> = <f, phi>, on the origin, off it and far from it
+    s = 10.0 ** log_s
+    phi = make_bump(1.0, 1.0, (0.6 * q, 0.8 * q))
+    if kind == "log":
+        f, f_s = np.log, (lambda r: np.log(s * np.asarray(r, float)))
+    else:
+        f, f_s = (lambda r: k0(np.asarray(r, float))), (lambda r: k0(s * np.asarray(r, float)))
+    rep, rep_s = pair_regular(f, phi), pair_regular(f_s, rescale(phi, s))
+    assert abs(s * s * rep_s.value - rep.value) <= (s * s * rep_s.abs_error_estimate
+                                                    + rep.abs_error_estimate
+                                                    + 1e-14 * (1.0 + abs(rep.value)))
 
 
 def test_delta_scaling_rule_via_expressions():
@@ -257,8 +312,11 @@ def test_fit_degenerate_errors():
 def test_quadrature_nonconvergence_error():
     # a genuinely non-integrable singularity never converges; the error
     # names the interval, the level reached and the last difference
-    with pytest.raises(QuadratureError, match=r"on \[0\.0, 1\.0\].*level \d+, last difference \S+"):
+    with pytest.raises(QuadratureError, match=r"on \[0\.0, 1\.0\].*level \d+, last difference \S+") as exc:
         integrate_radial(lambda r: 1.0 / np.asarray(r, float) ** 2, 1.0)
+    err = exc.value
+    assert err.stage == "radial" and err.interval == (0.0, 1.0) and err.r is None
+    assert "level %d, last difference %r" % (err.level, err.last_difference) in str(err)
 
 
 @pytest.mark.parametrize("R", [1e-4, 1e3, 1e6])
