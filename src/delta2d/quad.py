@@ -13,7 +13,9 @@ mollified probe puts every width eps in one call, and weak_pair_expr
 
 A bump centred at c != 0 (d = |c|, radius R) is paired in one of two
 frames, both through circle averages taken by a nested trapezoid rule
-doubled until two levels agree (_theta_average):
+doubled until two levels agree (_theta_average).  Each node on a circle
+is placed by its squared distance in the frame's own unit, R or d, so
+no root is taken where none is needed and no r * d overflows:
 
 - Bump frame, d >= _KAPPA * R (1.6 R): <f, w> = int_0^R 2 pi rho w(rho)
   M_f(rho) drho, with w the bump profile (or its Laplacian) and M_f(rho)
@@ -23,16 +25,24 @@ doubled until two levels agree (_theta_average):
   The radial and angular tests take their scale from the mean of |f|
   over each circle, not from M_f, which cancels to 0 for log at d = 1.
 - Origin frame, d < _KAPPA * R, and every mollified probe: f times the
-  average of the bump over the circles |x| = r, each taken only over the
-  arc that meets the support, with r only over the annulus
+  average of the bump (taken in squared distance, profile_sq or
+  laplacian_sq) over the circles |x| = r, each taken only over the arc
+  that meets the support, with r only over the annulus
   [max(0, d - R), d + R].  When the bump contains the origin (d < R) the
   annulus is cut at r = R - d, where the circle leaves the support and
   the average stops being analytic; both segments share the one call.
 
-The reported error estimate is the radial estimate plus the angular
-part: the largest accepted angular difference times int 2 pi r |f| dr
-over the annulus (origin frame, per segment) or int 2 pi rho |w| drho
-(bump frame).
+The two rules share one error budget.  A circle's angular tolerance is
+the larger of a fixed floor (_ARC_TOL * rel_tol times |w(0)|, or times
+the largest mean of |f| over the circles of a radial level) and
+_ARC_TOL times that node's share of the radial test: the error that,
+times the node's tanh-sinh weight and its outer factor (|2 pi r g_j| or
+|2 pi rho w|), would use column j's whole rel_tol * int |h_j|.  Nodes
+that carry little of the pairing are refined less.  The reported error
+estimate is the radial estimate plus the tanh-sinh sum, over the nodes
+used, of that outer factor times the accepted angular difference; the
+bump frame adds a round-off term for f at the rounded distance,
+|x f'(|x|)| times a few ulp, f' taken from the first angular level.
 
 All radial integrands must accept numpy arrays.
 """
@@ -81,8 +91,12 @@ _ARC_START = 8
 _ARC_MAX_LEVEL = 12
 # The angular rule stops when two levels agree to this fraction of
 # rel_tol * |profile(0)| (origin frame) or rel_tol * the largest mean of
-# |f| over the circles of one radial level (bump frame).
+# |f| over the circles of one radial level (bump frame), or, where that is
+# looser, of the error that would use a node's whole radial budget.
 _ARC_TOL = 1e-3
+# Round-off of g(|x|) in the bump frame, in ulps of |x|: the distance
+# d sqrt(a^2 + b sin^2) carries a few.
+_ROUND_ULPS = 8.0
 # A bump centred at d >= _KAPPA * R is paired in its own frame: its
 # circles |x - c| = rho <= R then stay at least 0.375 d from the origin.
 _KAPPA = 1.6
@@ -117,7 +131,7 @@ class PairingReport:
                 raise ValueError("abs_error_estimate below last table increment")
 
 
-def _tanh_sinh(h, lo, hi, rel_tol):
+def _tanh_sinh(h, lo, hi, rel_tol, nested=False):
     """int_lo^hi h(x) dx by the tanh-sinh rule of Takahasi & Mori.
 
     The nodes are x = lo + gap for t < 0 and hi - gap for t >= 0, with
@@ -139,14 +153,21 @@ def _tanh_sinh(h, lo, hi, rel_tol):
     from it.  A column with lo = hi has weight 0: it comes out 0 where h
     is finite at lo.
 
-    h may instead return a pair (y, s) with s >= |y|: the test and the
-    round-off floor then take int s as their scale in place of int |y|,
-    for integrands that cancel to about 0 while their parts do not.
+    With nested set, h is the outer integrand of a product rule whose
+    values carry an inner error of their own.  It is called as h(x, cap):
+    cap[i, j] is rel_tol times column j's running int |h| (from the levels
+    before this one, so 0 at level 0) over node i's weight at this level,
+    the error at that node that alone would use the column's whole
+    tolerance; a column of weight 0 gets inf.  h returns (y, s, e): s >=
+    |y|, or None for |y|, takes the place of |y| in the test and the
+    round-off floor, for integrands that cancel to about 0 while their
+    parts do not; e >= 0 bounds the inner error of y at each node, and
+    the estimate adds its tanh-sinh sum over every node used.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
     column = (-1,) + (1,) * half.ndim
-    total = absolute = 0.0
+    total = absolute = inner = 0.0
     table = []
     for level in range(_TS_MAX_LEVEL + 1):
         step = 2.0 ** -level
@@ -158,9 +179,14 @@ def _tanh_sinh(h, lo, hi, rel_tol):
         u = 0.5 * math.pi * np.sinh(np.abs(t))
         cosh_u = np.cosh(u)
         gap = half / (np.exp(u) * cosh_u)
-        y = h(np.where(t < 0.0, lo + gap, hi - gap))
-        y, s = y if isinstance(y, tuple) else (y, None)
+        x = np.where(t < 0.0, lo + gap, hi - gap)
         dt = np.cosh(t) / (cosh_u * cosh_u)
+        if nested:
+            # the running int |h| is the last level's weight, twice this one's
+            y, s, e = h(x, np.where(half > 0.0, 2.0 * rel_tol * absolute / dt, math.inf))
+            inner = inner + (e * dt).sum(axis=0)
+        else:
+            y, s = h(x), None
         y = y * dt
         total = total + y.sum(axis=0)
         absolute = absolute + (np.abs(y) if s is None else s * dt).sum(axis=0)
@@ -171,7 +197,8 @@ def _tanh_sinh(h, lo, hi, rel_tol):
         diff = abs(table[-1][1] - table[-2][1])
         bound = rel_tol * weight * absolute
         if (diff <= bound).all():
-            value, estimate = table[-1][1], diff + 64.0 * _ULP * weight * absolute
+            value = table[-1][1]
+            estimate = diff + 64.0 * _ULP * weight * absolute + weight * inner
             if np.ndim(value) == 0:
                 return float(value), float(estimate), tuple((i, float(v)) for i, v in table)
             return value, estimate, tuple(table)
@@ -200,65 +227,75 @@ def integrate_radial(g, r_max, rel_tol=1e-10):
     return PairingReport(*_tanh_sinh(lambda r: TWO_PI * r * g(r), 0.0, r_max, rel_tol))
 
 
-def _theta_average(fn, d, R, r, atol, rtol=0.0):
-    """Mean of fn(|x - p|) over each circle of radius r about a point q,
-    where |p - q| = d and fn vanishes farther than R from p.
+def _theta_average(kernel, d, r, unit, whole, atol, rtol=0.0, budget=None):
+    """Mean of kernel(|x - p|^2 / unit^2) over each circle of radius r
+    about a point q, where |p - q| = d.
 
-    The origin frame averages a bump profile (p its centre c, q = 0,
-    R = phi.radius) over the circles |x| = r; the bump frame averages a
-    radial function f of |x| (p = 0, q = c, R = inf) over the circles
-    |x - c| = r.  Measured from the point of the circle nearest p, a node
-    at angle theta lies at |x - p| = hypot(r - d, 2 sqrt(r d) sin(theta/2))
-    from p, written without cancellation near 0.  The circle meets the
-    support on the arc |theta| < w(r), w = arccos((r^2 + d^2 - R^2) /
-    (2 r d)), taken here as 2 arcsin of the root of (R^2 - (r - d)^2) /
-    (4 r d), which keeps thin arcs far out; w = pi once the circle lies
-    inside the support, as it always does for R = inf.  The integrand is
-    even in theta and flat where the arc ends, so the trapezoid rule on
-    [0, w] converges like the periodic one.  Levels double, each reusing
-    the nodes of the last, until two agree to atol + rtol * scale, where
-    a circle's scale is the mean of |fn| over its first level's nodes and
-    the test takes the largest scale among the circles of the call (per
-    column).  A circle's own scale can be as small as r near a zero of fn
-    (log |x| about |c| = 1), where fn's round-off is not.
+    Measured from the point of the circle nearest p, a node at angle
+    theta lies at squared distance a^2 + b sin^2(theta/2) from p, in
+    units of unit, with a = (r - d)/unit and b = 4 (r/unit)(d/unit): no
+    cancellation near theta = 0, no square root, and no square that
+    overflows where r and d do not.  The origin frame averages a bump
+    profile taken in squared distance (phi.profile_sq or laplacian_sq;
+    p = c, q = 0, unit = R) over the circles |x| = r, only over the arc
+    |theta| < w(r) where the circle meets the support: w = 2 arcsin of
+    the root of (1 - |a|)(1 + |a|)/b, which keeps thin arcs far out, or pi
+    once the circle lies inside the support.  The bump frame (whole set;
+    p = 0, q = c, unit = d) averages f(d sqrt(.)) over the whole circles
+    |x - c| = r.  The integrand is even in theta and flat where an arc
+    ends, so the trapezoid rule on [0, w] converges like the periodic one.
 
-    r may have any shape.  fn receives distances shaped (nodes, angles)
-    and returns that shape, or that shape plus a trailing column axis,
-    each column averaged on the same angles.  Returns the averages, the
-    accepted level differences and the scales, shaped r.shape plus the
-    column axis.
+    Levels double, each reusing the nodes of the last, until two agree to
+    the circle's tolerance: atol + rtol * scale, where a circle's scale is
+    the mean of |kernel| over its first level's nodes and the test takes
+    the largest scale among the circles of the call (per column; a
+    circle's own scale can be as small as r near a zero of f, log |x|
+    about |c| = 1, where f's round-off is not), raised to budget where
+    the caller's radial rule allows more.
+
+    r may have any shape, and budget that shape (plus a column axis).
+    kernel receives squared distances shaped (nodes, angles) and returns
+    that shape, or that shape plus a trailing column axis, each column
+    averaged on the same angles.  Returns the averages, the accepted level
+    differences, the scales and |kernel(end) - kernel(nearest)| on the
+    first level (in the bump frame |f(d + r) - f(d - r)|), shaped r.shape
+    plus the column axis.
     """
     r = np.asarray(r, dtype=float)
     shape, r = r.shape, r.ravel()
-    full = R == math.inf  # every circle lies inside the support: one set of angles
-    if full:
+    a, b = (r - d) / unit, 4.0 * (r / unit) * (d / unit)
+    near = a * a
+    if whole:
         w = np.full(r.shape, math.pi)
     else:
-        gap = np.abs(r - d)
+        gap = np.abs(a)
         with np.errstate(divide="ignore", invalid="ignore"):
-            half = (R - gap) * (R + gap) / (4.0 * r * d)
+            half = (1.0 - gap) * (1.0 + gap) / b
         w = 2.0 * np.arcsin(np.sqrt(np.clip(np.nan_to_num(half, nan=0.0), 0.0, 1.0)))
-    near, chord = r - d, 2.0 * np.sqrt(r * d)
 
     def arc(rows, frac):
-        t = math.pi * frac if full else w[rows, None] * frac
-        return fn(np.hypot(near[rows, None], chord[rows, None] * np.sin(0.5 * t)))
+        sin = np.sin(0.5 * math.pi * frac) if whole else np.sin(0.5 * w[rows, None] * frac)
+        return kernel(near[rows, None] + b[rows, None] * (sin * sin))
 
     n = _ARC_START
     vals = arc(slice(None), np.arange(n + 1) / n)
     span = w.reshape(w.shape + (1,) * (vals.ndim - 2))  # w on the column axis
     sums = vals[:, 1:-1].sum(axis=1) + 0.5 * (vals[:, 0] + vals[:, -1])
     avg = sums * span / (math.pi * n)
+    ends = np.abs(vals[:, -1] - vals[:, 0])
     vals = np.abs(vals)
     scale = (vals[:, 1:-1].sum(axis=1) + 0.5 * (vals[:, 0] + vals[:, -1])) * span / (math.pi * n)
     tol = atol + rtol * scale.max(axis=0)
+    if budget is not None:  # fmax: a NaN budget (0/0) leaves the tolerance as it is
+        tol = np.fmax(tol, np.reshape(budget, (r.size, -1) if avg.ndim > 1 else r.size))
+    tol = np.broadcast_to(tol, avg.shape)
     diff = np.zeros_like(avg)
     active = np.flatnonzero(w > 0.0)
     level = 0
     while active.size:
         if level == _ARC_MAX_LEVEL:
             gaps = diff[active].reshape(active.size, -1)
-            i, j = divmod(int(np.argmax(gaps - tol)), gaps.shape[1])
+            i, j = divmod(int(np.argmax(gaps - tol[active].reshape(gaps.shape))), gaps.shape[1])
             rho, last = float(r[active[i]]), float(gaps[i, j])
             raise QuadratureError(
                 "angular average did not converge at r=%r: level %d, last difference %r"
@@ -269,22 +306,38 @@ def _theta_average(fn, d, R, r, atol, rtol=0.0):
         new = sums[active] * span[active] / (math.pi * n)
         diff[active] = np.abs(new - avg[active])
         avg[active] = new
-        late = diff[active] > tol
+        late = diff[active] > tol[active]
         active = active[late if late.ndim == 1 else late.any(axis=1)]
     extra = avg.shape[1:]
-    return avg.reshape(shape + extra), diff.reshape(shape + extra), scale.reshape(shape + extra)
+    return tuple(v.reshape(shape + extra) for v in (avg, diff, scale, ends))
 
 
-def _pair_columns(g, phi, prof, cap, rel_tol):
+def _budget(cap, weight):
+    """The angular tolerance at which a node's error, times |weight| (the
+    outer factor that multiplies the average), takes _ARC_TOL of the
+    radial error cap _tanh_sinh passes: inf where weight is 0, NaN where
+    both are (see _theta_average)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _ARC_TOL * cap / np.abs(weight)
+
+
+def _pair_columns(g, phi, laplacian, cap, rel_tol):
     """int 2 pi r g_j(r) w(r) dr over [max(0, d - R), min(d + R, cap_j)],
     the part of the annulus phi covers below cap_j, for each column j of
-    g on one tanh-sinh mesh.  w is prof (phi.profile or
-    phi.profile_laplacian) for an origin-centred phi, else its arc average
-    (see _theta_average), shared by every column of a node; the estimate
-    of column j then adds the angular part, the largest accepted angular
-    difference times int 2 pi r |g_j| dr.  cap is a float, or caps of
-    shape (k,) or (1,), which shape the nodes g receives as in _tanh_sinh.
-    Returns (values, estimates, table) as _tanh_sinh does.
+    g on one tanh-sinh mesh.  w is phi.profile (phi.profile_laplacian
+    with laplacian set) for an origin-centred phi, else its arc average
+    (see _theta_average), shared by every column of a node.  cap is a
+    float, or caps of shape (k,) or (1,), which shape the nodes g
+    receives as in _tanh_sinh.  Returns (values, estimates, table) as
+    _tanh_sinh does.
+
+    Each node's angular tolerance is its share of the radial budget:
+    _ARC_TOL times the error that would use column j's whole radial
+    tolerance at that node (see _tanh_sinh, nested) over |2 pi r g_j|,
+    the smallest over the columns that share the average, and never below
+    _ARC_TOL * rel_tol * |w(0)|.  The angular part of column j's estimate
+    is the tanh-sinh sum of |2 pi r g_j| times the accepted angular
+    difference over the nodes used.
 
     A bump centred at d >= _KAPPA * R with no cap (every cap_j = inf) is
     paired in its own frame instead (see _pair_in_bump_frame); a finite
@@ -299,6 +352,7 @@ def _pair_columns(g, phi, prof, cap, rel_tol):
     radial and angular parts) and table rows are sums over it.
     """
     d, R = math.hypot(*phi.center), phi.radius
+    prof = phi.profile_laplacian if laplacian else phi.profile
     if d >= _KAPPA * R and np.all(np.isinf(cap)):
         return _pair_in_bump_frame(g, d, R, prof, np.ndim(cap) > 0, rel_tol)
     lo = max(0.0, d - R)
@@ -309,18 +363,18 @@ def _pair_columns(g, phi, prof, cap, rel_tol):
     if split:
         kink = np.minimum(R - d, hi)
         lo, hi = np.stack([np.zeros_like(kink), kink]), np.stack([kink, hi])
-    tol = _ARC_TOL * rel_tol * abs(float(prof(0.0)))
-    worst = [0.0]
+    kernel = phi.laplacian_sq if laplacian else phi.profile_sq
+    tol = _ARC_TOL * rel_tol * abs(float(kernel(0.0)))
 
-    def h(r):
-        avg, diff, _ = _theta_average(prof, d, R, r, tol)
-        worst[0] = np.maximum(worst[0], diff.max(axis=0))
-        return TWO_PI * r * g(r) * avg
+    def h(r, cap):
+        weight = TWO_PI * r * g(r)
+        budget = _budget(cap, weight)
+        if budget.shape != r.shape:  # columns share the node's average
+            budget = np.fmin.reduce(budget, axis=-1, keepdims=True)
+        avg, diff, _, _ = _theta_average(kernel, d, r, R, False, tol, budget=budget)
+        return weight * avg, None, np.abs(weight) * diff
 
-    value, err, table = _tanh_sinh(h, lo, hi, rel_tol)
-    # int 2 pi r |g| only scales the angular part: a few digits suffice
-    moment = _tanh_sinh(lambda r: TWO_PI * r * np.abs(g(r)), lo, hi, 1e-3)[0]
-    err = err + worst[0] * moment
+    value, err, table = _tanh_sinh(h, lo, hi, rel_tol, nested=True)
     if not split:
         return value, err, table
     if np.ndim(cap) == 0:
@@ -331,34 +385,40 @@ def _pair_columns(g, phi, prof, cap, rel_tol):
 def _pair_in_bump_frame(g, d, R, prof, columns, rel_tol):
     """int 2 pi rho w(rho) M_j(rho) drho over [0, R] for a bump centred at
     distance d >= _KAPPA * R, w = prof, and M_j the mean of g_j over the
-    circle |x - c| = rho (see _theta_average).  That circle stays clear of
-    the origin, so the trapezoid rule in theta converges like (rho/d)^n,
-    and no arc width or r - d is formed.
+    circle |x - c| = rho (see _theta_average, in units of d, so that no
+    distance overflows where d does not).  That circle stays clear of the
+    origin, so the trapezoid rule in theta converges like (rho/d)^n, and
+    no arc width is formed.
 
     Both tests take their scale from S_j(rho), the mean of |g_j| over the
     circle's first angular level (already evaluated), never from M_j,
     which cancels to 0 for log |x| at d = 1: the radial rule's int |h| is
     int 2 pi rho |w| S_j, and the angular tolerance is _ARC_TOL * rel_tol
-    times the largest S_j among the circles of the radial level.  The
-    estimate adds the largest accepted angular difference times
-    int 2 pi rho |w|.  With columns set, g maps distances shaped (..., 1)
-    to k columns (..., k), the nodes are shaped (n, 1) and the results
-    have shape (k,), as in _pair_columns.
+    times the largest S_j among the circles of the radial level, raised
+    per node and column to its share of the radial budget as in
+    _pair_columns.  The estimate adds the tanh-sinh sum of 2 pi rho |w|
+    times each node's accepted angular difference plus a round-off term
+    for g at the rounded distance, |x g'(|x|)| * _ROUND_ULPS ulp, with g'
+    the slope (g(d + rho) - g(d - rho)) / (2 rho) of the circle's first
+    level and |x| = d.  With columns set, g maps distances shaped
+    (..., 1) to k columns (..., k), the nodes are shaped (n, 1) and the
+    results have shape (k,), as in _pair_columns.
     """
     fn = (lambda x: g(x[..., None])) if columns else g
+    kernel = lambda q: fn(d * np.sqrt(q))
     lo, hi = (np.zeros(1), np.full(1, R)) if columns else (0.0, R)
-    worst = [0.0]
+    # 2 pi rho |w| * |x g'| ulps with |x| = d and g' = ends / (2 rho)
+    slope = math.pi * (_ROUND_ULPS * _ULP * d)
 
-    def h(rho):
-        mean, diff, scale = _theta_average(fn, d, math.inf, rho.ravel(), 0.0, _ARC_TOL * rel_tol)
-        worst[0] = np.maximum(worst[0], diff.max(axis=0))
-        weight = TWO_PI * rho * prof(rho)
-        return weight * mean, np.abs(weight) * scale
+    def h(rho, cap):
+        w = prof(rho)
+        weight = TWO_PI * rho * w
+        mean, diff, scale, ends = _theta_average(kernel, d, rho.ravel(), d, True, 0.0,
+                                                 _ARC_TOL * rel_tol, _budget(cap, weight))
+        size = np.abs(weight)
+        return weight * mean, size * scale, size * diff + slope * np.abs(w) * ends
 
-    value, err, table = _tanh_sinh(h, lo, hi, rel_tol)
-    # int 2 pi rho |w| only scales the angular part: a few digits suffice
-    moment = _tanh_sinh(lambda rho: TWO_PI * rho * np.abs(prof(rho)), 0.0, R, 1e-3)[0]
-    return value, err + worst[0] * moment, table
+    return _tanh_sinh(h, lo, hi, rel_tol, nested=True)
 
 
 def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
@@ -374,10 +434,10 @@ def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
     contains the origin.  Off the origin the error estimate adds the
     angular part to the radial one.
     """
-    prof = phi.profile_laplacian if move_ops else phi.profile
     if phi.origin_centered:
+        prof = phi.profile_laplacian if move_ops else phi.profile
         return integrate_radial(lambda r: f(r) * prof(r), phi.radius, rel_tol=rel_tol)
-    value, err, table = _pair_columns(f, phi, prof, math.inf, rel_tol)
+    value, err, table = _pair_columns(f, phi, move_ops, math.inf, rel_tol)
     return PairingReport(value, float(err), table)
 
 
@@ -395,7 +455,7 @@ def _pair_terms(fs, phi, rel_tol):
         rep = pair_regular(fs[0], phi, rel_tol=rel_tol)
         return [rep.value], [rep.abs_error_estimate]
     values, estimates, _ = _pair_columns(lambda r: np.concatenate([f(r) for f in fs], axis=-1),
-                                         phi, phi.profile, (math.inf,), rel_tol)
+                                         phi, False, (math.inf,), rel_tol)
     return values.tolist(), estimates.tolist()
 
 
@@ -455,7 +515,7 @@ def pair_mollified_product(f, fam, phi, rel_tol=1e-10):
         raise ValueError("mollifier width %g is not below the bump radius %g"
                          % (fam.epsilons[0], phi.radius))
     eps = np.array(fam.epsilons)
-    values = _pair_columns(lambda r: f(r) * fam.delta_eps(eps, r), phi, phi.profile,
+    values = _pair_columns(lambda r: f(r) * fam.delta_eps(eps, r), phi, False,
                            fam.cutoff_radius(eps), rel_tol)[0]
     return list(zip(fam.epsilons, values.tolist()))
 

@@ -5,7 +5,9 @@ The single profile used throughout is
     phi(x) = amplitude * exp(1 - 1/(1 - u^2)),   u = |x - center| / radius
 
 for u < 1 and exactly zero outside.  Value, gradient and Laplacian are
-closed-form; all evaluators accept scalars or ndarrays.
+closed-form; all evaluators accept scalars or ndarrays.  The profile and
+its Laplacian are defined in s = u^2 (profile_sq, laplacian_sq), which
+the off-centre quadrature feeds squared distances directly.
 """
 
 import math
@@ -36,6 +38,17 @@ def _shape_d1(s):
     return np.where(inside, -_shape(safe) / (1.0 - safe) ** 2, 0.0)
 
 
+def _shape_laplacian(s):
+    """s f''(s) + f'(s), f' as in _shape_d1 and f''(s) = f(s)*(2s-1)/(1-s)^4,
+    the exponential f taken once."""
+    s = np.asarray(s, dtype=float)
+    inside = s < 1.0 - _EDGE
+    safe = np.where(inside, s, 0.0)
+    t = 1.0 - safe
+    f = np.exp(1.0 - 1.0 / t)
+    return np.where(inside, f * (2.0 * safe - 1.0) / t**4 * s - f / t**2, 0.0)
+
+
 @dataclass(frozen=True)
 class BumpFunction:
     amplitude: float
@@ -59,7 +72,10 @@ class BumpFunction:
     # -- radial API (distance r from the bump's own center) ---------------
 
     def profile(self, r):
-        s = (np.asarray(r, dtype=float) / self.radius) ** 2
+        return self.profile_sq((np.asarray(r, dtype=float) / self.radius) ** 2)
+
+    def profile_sq(self, s):
+        """The profile at squared distance s = (r / radius)^2."""
         return self.amplitude * _shape(s)
 
     def profile_dr(self, r):
@@ -69,16 +85,13 @@ class BumpFunction:
         return self.amplitude * _shape_d1(s) * 2.0 * r / self.radius**2
 
     def profile_laplacian(self, r):
-        """2D Laplacian at distance r from the center (radial formula):
-        4 A / R^2 * (s f''(s) + f'(s)), f' as in _shape_d1 and
-        f''(s) = f(s)*(2s-1)/(1-s)^4, the exponential f taken once."""
-        s = (np.asarray(r, dtype=float) / self.radius) ** 2
-        inside = s < 1.0 - _EDGE
-        safe = np.where(inside, s, 0.0)
-        f = np.exp(1.0 - 1.0 / (1.0 - safe))
-        d1 = np.where(inside, -f / (1.0 - safe) ** 2, 0.0)
-        d2 = np.where(inside, f * (2.0 * safe - 1.0) / (1.0 - safe) ** 4, 0.0)
-        return (4.0 * self.amplitude / self.radius**2) * (d2 * s + d1)
+        """2D Laplacian at distance r from the center (radial formula)."""
+        return self.laplacian_sq((np.asarray(r, dtype=float) / self.radius) ** 2)
+
+    def laplacian_sq(self, s):
+        """The Laplacian at squared distance s = (r / radius)^2:
+        4 A / R^2 * (s f''(s) + f'(s)) with f(s) = exp(1 - 1/(1 - s))."""
+        return (4.0 * self.amplitude / self.radius**2) * _shape_laplacian(s)
 
     # -- Cartesian API -----------------------------------------------------
 

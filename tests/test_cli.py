@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -147,6 +148,18 @@ def test_pair_off_centre_log_against_jensen_oracle():
     assert err <= 1e-8 * (1.0 + abs(want))
     assert err <= summary["abs_error_estimate"] + oracle_tol
     assert run_cli(argv) == (code, text)
+
+
+def test_pair_at_a_centre_near_the_top_of_the_double_range():
+    # r * d overflows a double here; the pairing must neither fail nor warn
+    argv = ["pair", "--expr", "log_r", "--phi-center", "1e160,0", "--phi-radius", "1e150",
+            "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, text = run_cli(argv)
+    assert code == 0
+    want, _ = off_centre_oracle("log", 1.0, make_bump(1.0, 1e150, (1e160, 0.0)))
+    assert json.loads(text)["summary"]["value"] == pytest.approx(want, rel=1e-12)
 
 
 def test_pair_k0_delta_trace_and_value():

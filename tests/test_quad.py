@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,61 @@ def test_multi_term_pairing_of_a_thin_far_bump():
     (log_v, log_tol), (k0_v, k0_tol) = (off_centre_oracle(k, 1.0, phi) for k in ("log", "k0"))
     assert abs(rep.value - (log_v + k0_v)) <= rep.abs_error_estimate + log_tol + k0_tol
     assert rep.value == pytest.approx(log_v, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [1e155, 1e160])
+def test_far_bump_near_the_top_of_the_double_range(d):
+    # d/R = 1e10 with r * d past the double range: the circles about c are
+    # formed in units of d, so nothing overflows and no warning is raised
+    phi = make_bump(1.0, d / 1e10, (d, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = pair_regular(np.log, phi)
+    want, oracle_tol = off_centre_oracle("log", 1.0, phi)
+    assert rep.value == pytest.approx(want, rel=1e-12)
+    assert abs(rep.value - want) <= rep.abs_error_estimate + oracle_tol
+
+
+@pytest.mark.parametrize("move_ops", [False, True])
+@pytest.mark.parametrize("R", [1e-4, 1e-3, 1e-2])
+def test_round_off_floor_of_a_pairing_that_is_exactly_zero(R, move_ops):
+    # every circle about a point of the unit circle has mean log = 0, so the
+    # exact pairing is 0 and the value is the round-off of log|x| at |x| ~ 1:
+    # the estimate alone must cover it, with no oracle tolerance
+    rep = pair_regular(np.log, make_bump(1.0, R, (1.0, 0.0)), move_ops=move_ops)
+    assert rep.abs_error_estimate >= abs(rep.value)
+
+
+# Points the angular rule evaluated per pairing against the bump A = 1, R = 1
+# at (d, 0), rel_tol 1e-10, while every node took the same angular tolerance
+# (log, then K0(1.) and psi_1, which share one count), by d/R and move_ops
+ANGULAR_POINTS_BEFORE = {
+    (0.4, False): (38210, 38210), (0.4, True): (71634, 71634),
+    (1.75, False): (10305, 10369), (1.75, True): (10305, 10369),
+    (4.5, False): (6161, 6337), (4.5, True): (6161, 6337),
+}
+
+
+@pytest.mark.parametrize("move_ops", [False, True])
+@pytest.mark.parametrize("d", [0.4, 1.75, 4.5])
+@pytest.mark.parametrize("kind", ["log", "k0", "psi"])
+def test_angular_work_follows_each_nodes_share_of_the_pairing(monkeypatch, kind, d, move_ops):
+    import delta2d.quad as quad
+    points = [0]
+    average = quad._theta_average
+
+    def counting(kernel, *args, **kwargs):
+        def counted(q):
+            points[0] += np.size(q)
+            return kernel(q)
+        return average(counted, *args, **kwargs)
+
+    monkeypatch.setattr(quad, "_theta_average", counting)
+    pre = 1.0 if kind != "psi" else 1.0 / math.sqrt(math.pi)
+    f = np.log if kind == "log" else (lambda r: pre * k0(np.asarray(r, float)))
+    pair_regular(f, make_bump(1.0, 1.0, (d, 0.0)), move_ops=move_ops)
+    before = ANGULAR_POINTS_BEFORE[d, move_ops][kind != "log"]
+    assert points[0] <= (0.65 if d < 4.0 else 1.0) * before
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
