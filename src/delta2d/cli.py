@@ -16,9 +16,7 @@ import math
 import random
 import sys
 
-import numpy as np
-
-from . import dexpr, quad, spectrum, testfn
+from . import dexpr, spectrum
 from .specfun import EULER_GAMMA, k0, k0_log_form
 
 SCHEMA_VERSION = 1
@@ -101,6 +99,8 @@ def _check_row(name, identity, measured, expected, tolerance):
 
 
 def _identity_checks():
+    import numpy as np
+    from . import quad, testfn
     rows = []
     bumps = [testfn.make_bump(a, r, c) for a, r, c in _VERIFY_BUMPS]
     for i, phi in enumerate(bumps):
@@ -266,6 +266,7 @@ def _collect_products(e):
 
 
 def cmd_pair(args, stream):
+    from . import quad, testfn
     expr = dexpr.parse_expr(args.expr)
     center = tuple(float(v) for v in args.phi_center.split(","))
     phi = testfn.make_bump(args.phi_amplitude, args.phi_radius, center)
@@ -306,6 +307,7 @@ def cmd_pair(args, stream):
 
 
 def cmd_k0(args, stream):
+    import numpy as np
     if args.grid:
         parts = args.grid.split(":")
         if len(parts) != 3:
@@ -378,7 +380,11 @@ def main(argv=None, stream=None):
     except (ValueError, ArithmeticError, dexpr.ExprSyntaxError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except quad.QuadratureError as exc:
+    except RuntimeError as exc:
+        # a QuadratureError can only come from a loaded quad module
+        quad = sys.modules.get(__package__ + ".quad")
+        if quad is None or not isinstance(exc, quad.QuadratureError):
+            raise
         print("error: %s" % exc, file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -26,7 +26,6 @@ import re
 from dataclasses import dataclass
 
 from .specfun import EULER_GAMMA
-from . import quad as _quad
 from . import spectrum as _spectrum
 
 __all__ = [
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 SQRT_PI = math.sqrt(math.pi)
+TWO_PI = 2.0 * math.pi
 
 
 class ExprSyntaxError(ValueError):
@@ -491,11 +491,11 @@ def _laplacian_matcher(node):
         return (ScalarMul(child.coeff, Laplacian(child.child)),
                 ("lap-scalar", "the Laplacian is linear"))
     if isinstance(child, (LogRadial, LogRadialScaled)):
-        return (ScalarMul(_quad.TWO_PI, Delta()),
+        return (ScalarMul(TWO_PI, Delta()),
                 ("lap-log", "lap log|x| = 2*pi*delta (fundamental solution)"))
     if isinstance(child, K0Radial):
         a = child.a
-        return (Sum((ScalarMul(a * a, K0Radial(a)), ScalarMul(-_quad.TWO_PI, Delta()))),
+        return (Sum((ScalarMul(a * a, K0Radial(a)), ScalarMul(-TWO_PI, Delta()))),
                 ("lap-k0", "lap K0(a|x|) = a^2*K0(a|x|) - 2*pi*delta"))
     if isinstance(child, Psi):
         b = child.b
@@ -686,6 +686,7 @@ def weak_pair_expr(e, phi, L=1.0, rel_tol=1e-10):
     sum |c_i| est_i.  L is only consulted when e still contains singular
     products.
     """
+    from . import quad as _quad
     canon, _ = rewrite_full(e, L=L)
     regular = [t for t in canon.terms if isinstance(t.child, _REGULAR_KINDS)]
     value = err = 0.0

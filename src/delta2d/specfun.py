@@ -8,8 +8,7 @@ it against high-accuracy quadrature of the integral representation
 
 import math
 
-import numpy as np
-from scipy import special
+np = special = None  # bound by the first call that needs them, not on import
 
 __all__ = ["EULER_GAMMA", "k0", "k0_log_form"]
 
@@ -26,6 +25,10 @@ def k0(x):
     integral oracle); underflows cleanly to zero once exp(-x) leaves the
     normal range.
     """
+    global np, special
+    if special is None:
+        import numpy as np
+        from scipy import special
     arr = np.asarray(x, dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("k0 requires a finite argument x > 0")
@@ -40,8 +43,11 @@ def k0_log_form(a, r):
 
     Monotonically decreasing in r; exact up to floating-point rounding.
     """
+    global np
     if not (math.isfinite(a) and a > 0.0):
         raise ValueError("k0_log_form requires a > 0")
+    if np is None:
+        import numpy as np
     rr = np.asarray(r, dtype=float)
     if rr.size == 0 or not np.all(np.isfinite(rr)) or np.any(rr <= 0.0):
         raise ValueError("k0_log_form requires r > 0")
@@ -49,3 +55,4 @@ def k0_log_form(a, r):
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(out)
     return out
+

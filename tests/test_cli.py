@@ -1,11 +1,15 @@
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from delta2d import k0, make_bump
+from delta2d import cli, k0, make_bump, quad
 from delta2d.cli import main, _parse_alpha, _parse_range
 
 from conftest import off_centre_oracle
@@ -220,6 +224,37 @@ def test_pair_log_delta_mollified_table():
 def test_pair_syntax_error_is_usage_error():
     code, _ = run_cli(["pair", "--expr", "frob(1)"])
     assert code == 2
+
+
+def test_pair_syntax_error_is_usage_error_in_a_fresh_process():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-m", "delta2d.cli", "pair", "--expr", "log_r +"],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+def test_pair_quadrature_failure_exits_1(monkeypatch, capsys):
+    # one refinement level: the radial rule cannot converge
+    monkeypatch.setattr(quad, "_TS_MAX_LEVEL", 1)
+    code, text = run_cli(["pair", "--expr", "log_r"])
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("quad_loaded", [True, False])
+def test_other_runtime_errors_propagate(monkeypatch, quad_loaded):
+    def broken(args, stream):
+        raise RuntimeError("not a quadrature failure")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", broken)
+    if not quad_loaded:
+        monkeypatch.delitem(sys.modules, "delta2d.quad")
+    with pytest.raises(RuntimeError, match="not a quadrature failure"):
+        run_cli(["spectrum"])
 
 
 def test_unknown_suite_is_usage_error():

@@ -120,6 +120,75 @@ def test_import_does_not_load_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
+# Runs in a fresh interpreter, because this process already holds numpy:
+# import delta2d, run one subcommand if argv is given, then print its exit
+# code and which array libraries it loaded.
+_IMPORT_PROBE = """
+import io, sys
+import delta2d
+code = delta2d.cli.main(sys.argv[1:], stream=io.StringIO()) if sys.argv[1:] else 0
+print(code, *(m for m in ("numpy", "scipy", "scipy.special") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), ""),
+    (("spectrum",), ""),
+    (("verify", "--suite", "rewrite"), ""),
+    (("pair", "--expr", "log_r"), "numpy"),
+    (("k0",), "numpy scipy scipy.special"),
+])
+def test_each_subcommand_imports_only_what_it_needs(argv, loaded):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0"] + loaded.split()
+
+
+# The public names of the package, as its modules define them.
+_PUBLIC = {
+    "specfun": ("EULER_GAMMA", "k0", "k0_log_form"),
+    "testfn": ("BumpFunction", "make_bump", "bump_eval", "rescale"),
+    "quad": ("MollifierFamily", "PairingReport", "LogFitResult", "QuadratureError",
+             "integrate_radial", "pair_regular", "pair_delta", "pair_mollified_product",
+             "fit_log_divergence"),
+    "dexpr": ("parse_expr", "print_expr", "normalize", "canonical_coeffs", "scale_expr",
+              "laplacian_expr", "rewrite_singular_products", "rewrite_full",
+              "apply_hamiltonian", "weak_pair_expr"),
+    "spectrum": ("PhysicalParams", "BoundState", "CSpectrumFamily", "AghhComparison",
+                 "eeq_residual", "energy_from_b", "b_from_energy", "solve_eeq",
+                 "closed_form_energy", "c_spectrum", "aghh_check"),
+}
+
+
+def test_public_names_resolve_lazily_to_their_module_objects(monkeypatch):
+    import importlib
+
+    import delta2d
+
+    names = [name for group in _PUBLIC.values() for name in group]
+    for modname, group in _PUBLIC.items():
+        module = importlib.import_module("delta2d." + modname)
+        assert getattr(delta2d, modname) is module
+        for name in group:
+            assert getattr(delta2d, name) is getattr(module, name), name
+    assert sorted(delta2d.__all__) == sorted(names)
+    assert set(names) <= set(dir(delta2d))
+    namespace = {}
+    exec("from delta2d import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        delta2d.no_such_name
+    assert getattr(delta2d, "no_such_name", None) is None
+    # the package holds no copy: a name rebound in its module (as the
+    # benchmark tracer does) shows through and is undone with it
+    monkeypatch.setattr(delta2d.specfun, "k0", len)
+    assert delta2d.k0 is len
+    monkeypatch.undo()
+    assert delta2d.k0 is delta2d.specfun.k0
+
+
 def test_aghh_matches_closed_form_at_collapse_point():
     # hbar^2/m = 2 and L = +-1 collapse the family onto the singleton
     for alpha in (0.5, 1.0, 4.0 * math.pi, -2.0):
