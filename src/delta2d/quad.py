@@ -1,8 +1,8 @@
 """Numerical weak pairings on R^2.
 
-Every radial integral, with at worst a log singularity at an end, is
-taken by one tanh-sinh (double-exponential) rule whose nodes cluster at
-both ends of the interval; mollified delta families probe products
+Every integral in r = |x|, with at worst a log singularity at an end,
+is taken by one tanh-sinh (double-exponential) rule whose nodes cluster
+at both ends of the interval; mollified delta families probe products
 f*delta classically, and a least-squares fit extracts the logarithmic
 divergence structure.
 
@@ -17,13 +17,16 @@ doubled until two levels agree (_theta_average).  Each node on a circle
 is placed by its squared distance in the frame's own unit, R or d, so
 no root is taken where none is needed and no r * d overflows:
 
-- Bump frame, d >= _KAPPA * R (1.6 R): <f, w> = int_0^R 2 pi rho w(rho)
+- Bump frame, d >= _KAPPA * R (1.1 R): <f, w> = int_0^R 2 pi rho w(rho)
   M_f(rho) drho, with w the bump profile (or its Laplacian) and M_f(rho)
   the mean of f(|x|) over the circle |x - c| = rho.  That circle never
   meets the origin, so the angular rule converges like (rho/d)^n, and
   no arc width is formed from r - d, which loses digits as d/R grows.
-  The radial and angular tests take their scale from the mean of |f|
-  over each circle, not from M_f, which cancels to 0 for log at d = 1.
+  M_f is analytic in rho^2, so a Clenshaw-Curtis rule in rho^2 weighted
+  by the bump's own shape needs it on few circles (17 for log and K0 at
+  rel_tol 1e-10).  Its tests
+  take their scale from the mean of |f| over each circle, not from M_f,
+  which cancels to 0 for log at d = 1.
 - Origin frame, d < _KAPPA * R, and every mollified probe: f times the
   average of the bump (taken in squared distance, profile_sq or
   laplacian_sq) over the circles |x| = r, each taken only over the arc
@@ -32,17 +35,14 @@ no root is taken where none is needed and no r * d overflows:
   annulus is cut at r = R - d, where the circle leaves the support and
   the average stops being analytic; both segments share the one call.
 
-The two rules share one error budget.  A circle's angular tolerance is
-the larger of a fixed floor (_ARC_TOL * rel_tol times |w(0)|, or times
-the largest mean of |f| over the circles of a radial level) and
-_ARC_TOL times that node's share of the radial test: the error that,
-times the node's tanh-sinh weight and its outer factor (|2 pi r g_j| or
-|2 pi rho w|), would use column j's whole rel_tol * int |h_j|.  Nodes
-that carry little of the pairing are refined less.  The reported error
-estimate is the radial estimate plus the tanh-sinh sum, over the nodes
-used, of that outer factor times the accepted angular difference; the
-bump frame adds a round-off term for f at the rounded distance,
-|x f'(|x|)| times a few ulp, f' taken from the first angular level.
+A circle's angular tolerance is a fixed floor, _ARC_TOL * rel_tol times
+|w(0)| or, in the bump frame, times the largest mean of |f| over the
+circles of a radial level.  In the origin frame it is raised to _ARC_TOL
+times the node's share of the radial test, so nodes that carry little
+of the pairing are refined less.  The reported estimate is the radial
+one plus the weighted sum, over the nodes used, of each accepted angular
+difference; the bump frame adds a round-off term for f at the rounded
+distance, |x f'(|x|)| times a few ulp, f' from the first angular level.
 
 All radial integrands must accept numpy arrays.
 """
@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import EULER_GAMMA
+from .testfn import _shape, _shape_laplacian
 
 __all__ = [
     "QuadratureError",
@@ -97,9 +98,15 @@ _ARC_TOL = 1e-3
 # Round-off of g(|x|) in the bump frame, in ulps of |x|: the distance
 # d sqrt(a^2 + b sin^2) carries a few.
 _ROUND_ULPS = 8.0
+# Bump frame: level k has m = 8 * 2^k Clenshaw-Curtis intervals (a Gaussian
+# ring of width 0.05 R through the bump needs 256); weights cached per (laplacian, m)
+_CC_MAX_LEVEL = 6
+_CC_MOMENT_TOL = 1e-14
+_CC_WEIGHTS = {}
 # A bump centred at d >= _KAPPA * R is paired in its own frame: its
-# circles |x - c| = rho <= R then stay at least 0.375 d from the origin.
-_KAPPA = 1.6
+# circles |x - c| = rho <= R then stay at least d / 11 from the origin.
+# At d = R the circle rho = R would pass through it.
+_KAPPA = 1.1
 
 
 class QuadratureError(RuntimeError):
@@ -158,16 +165,15 @@ def _tanh_sinh(h, lo, hi, rel_tol, nested=False):
     cap[i, j] is rel_tol times column j's running int |h| (from the levels
     before this one, so 0 at level 0) over node i's weight at this level,
     the error at that node that alone would use the column's whole
-    tolerance; a column of weight 0 gets inf.  h returns (y, s, e): s >=
-    |y|, or None for |y|, takes the place of |y| in the test and the
-    round-off floor, for integrands that cancel to about 0 while their
-    parts do not; e >= 0 bounds the inner error of y at each node, and
-    the estimate adds its tanh-sinh sum over every node used.
+    tolerance; a column of weight 0 gets inf.  h returns (y, e): e >= 0
+    bounds the inner error of y at each node, and the estimate adds its
+    tanh-sinh sum over every node used.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
     column = (-1,) + (1,) * half.ndim
     total = absolute = inner = 0.0
+    diff, bound = np.full(half.shape, math.inf), 0.0  # what a failure at level 0 reports
     table = []
     for level in range(_TS_MAX_LEVEL + 1):
         step = 2.0 ** -level
@@ -183,13 +189,13 @@ def _tanh_sinh(h, lo, hi, rel_tol, nested=False):
         dt = np.cosh(t) / (cosh_u * cosh_u)
         if nested:
             # the running int |h| is the last level's weight, twice this one's
-            y, s, e = h(x, np.where(half > 0.0, 2.0 * rel_tol * absolute / dt, math.inf))
+            y, e = h(x, np.where(half > 0.0, 2.0 * rel_tol * absolute / dt, math.inf))
             inner = inner + (e * dt).sum(axis=0)
         else:
-            y, s = h(x), None
+            y = h(x)
         y = y * dt
         total = total + y.sum(axis=0)
-        absolute = absolute + (np.abs(y) if s is None else s * dt).sum(axis=0)
+        absolute = absolute + np.abs(y).sum(axis=0)
         weight = 0.5 * math.pi * half * step
         table.append((level, weight * total))
         if level == 0:
@@ -340,8 +346,9 @@ def _pair_columns(g, phi, laplacian, cap, rel_tol):
     difference over the nodes used.
 
     A bump centred at d >= _KAPPA * R with no cap (every cap_j = inf) is
-    paired in its own frame instead (see _pair_in_bump_frame); a finite
-    cap bounds |x|, which only the origin frame can follow.
+    paired in its own frame instead, by a Clenshaw-Curtis rule in rho^2
+    (see _pair_in_bump_frame); a finite cap bounds |x|, which only the
+    origin frame can follow.
 
     When the bump contains the origin off its centre (0 < d < R), the arc
     average is smooth but not analytic at r = R - d, where the circle
@@ -352,12 +359,12 @@ def _pair_columns(g, phi, laplacian, cap, rel_tol):
     radial and angular parts) and table rows are sums over it.
     """
     d, R = math.hypot(*phi.center), phi.radius
-    prof = phi.profile_laplacian if laplacian else phi.profile
     if d >= _KAPPA * R and np.all(np.isinf(cap)):
-        return _pair_in_bump_frame(g, d, R, prof, np.ndim(cap) > 0, rel_tol)
+        return _pair_in_bump_frame(g, d, phi, laplacian, np.ndim(cap) > 0, rel_tol)
     lo = max(0.0, d - R)
     hi = np.maximum(lo, np.minimum(d + R, cap))
     if phi.origin_centered:
+        prof = phi.profile_laplacian if laplacian else phi.profile
         return _tanh_sinh(lambda r: TWO_PI * r * (g(r) * prof(r)), lo, hi, rel_tol)
     split = d < R
     if split:
@@ -372,7 +379,7 @@ def _pair_columns(g, phi, laplacian, cap, rel_tol):
         if budget.shape != r.shape:  # columns share the node's average
             budget = np.fmin.reduce(budget, axis=-1, keepdims=True)
         avg, diff, _, _ = _theta_average(kernel, d, r, R, False, tol, budget=budget)
-        return weight * avg, None, np.abs(weight) * diff
+        return weight * avg, np.abs(weight) * diff
 
     value, err, table = _tanh_sinh(h, lo, hi, rel_tol, nested=True)
     if not split:
@@ -382,43 +389,77 @@ def _pair_columns(g, phi, laplacian, cap, rel_tol):
     return value.sum(axis=0), err.sum(axis=0), tuple((i, v.sum(axis=0)) for i, v in table)
 
 
-def _pair_in_bump_frame(g, d, R, prof, columns, rel_tol):
-    """int 2 pi rho w(rho) M_j(rho) drho over [0, R] for a bump centred at
-    distance d >= _KAPPA * R, w = prof, and M_j the mean of g_j over the
-    circle |x - c| = rho (see _theta_average, in units of d, so that no
-    distance overflows where d does not).  That circle stays clear of the
-    origin, so the trapezoid rule in theta converges like (rho/d)^n, and
-    no arc width is formed.
+def _cc_weights(laplacian, m):
+    """Weights W_i = int_-1^1 eta l_i dx of the Lobatto nodes cos(pi i/m),
+    l_i their Lagrange basis and eta(x) = _shape((1 + x)/2) (or
+    _shape_laplacian): W_i = (2/m) c_i sum''_k mu_k cos(pi i k/m), c_0 =
+    c_m = 1/2 and the k = 0, m terms halved, with mu_k = int eta T_k from
+    one _tanh_sinh call in s = (1 + x)/2, T_k = cos(2k arccos sqrt(s)).
+    They integrate each T_j, j <= m <= 512, within 0.65 of 64 ulp of
+    sum_i |W_i T_j(x_i)| (tested against QUADPACK), so their own error
+    stays under the pairing estimate's 64-ulp floor."""
+    if (laplacian, m) not in _CC_WEIGHTS:
+        eta = _shape_laplacian if laplacian else _shape
+        k = np.arange(m + 1)
+        mu = _tanh_sinh(lambda s: 2.0 * eta(s) * np.cos(2.0 * k * np.arccos(np.sqrt(s))),
+                        np.zeros(1), np.ones(1), _CC_MOMENT_TOL)[0]
+        c = np.where((k == 0) | (k == m), 0.5, 1.0)
+        _CC_WEIGHTS[laplacian, m] = (2.0 / m) * c * (
+            np.cos(math.pi / m * (np.outer(k, k) % (2 * m))) @ (c * mu))
+    return _CC_WEIGHTS[laplacian, m]
 
-    Both tests take their scale from S_j(rho), the mean of |g_j| over the
-    circle's first angular level (already evaluated), never from M_j,
-    which cancels to 0 for log |x| at d = 1: the radial rule's int |h| is
-    int 2 pi rho |w| S_j, and the angular tolerance is _ARC_TOL * rel_tol
-    times the largest S_j among the circles of the radial level, raised
-    per node and column to its share of the radial budget as in
-    _pair_columns.  The estimate adds the tanh-sinh sum of 2 pi rho |w|
-    times each node's accepted angular difference plus a round-off term
-    for g at the rounded distance, |x g'(|x|)| * _ROUND_ULPS ulp, with g'
-    the slope (g(d + rho) - g(d - rho)) / (2 rho) of the circle's first
-    level and |x| = d.  With columns set, g maps distances shaped
-    (..., 1) to k columns (..., k), the nodes are shaped (n, 1) and the
-    results have shape (k,), as in _pair_columns.
+
+def _pair_in_bump_frame(g, d, phi, laplacian, columns, rel_tol):
+    """int 2 pi rho w(rho) M_j(rho) drho over [0, R], w the profile (or
+    Laplacian) of a bump centred at distance d >= _KAPPA * R and M_j the
+    mean of g_j over the circle |x - c| = rho (_theta_average, in units
+    of d).  In x = 2 rho^2/R^2 - 1 this is C int eta M_j dx, C = pi A R^2/2
+    (2 pi A for the Laplacian), M_j analytic in x, taken by the rule of
+    _cc_weights at rho_i = R cos(pi i/2m) = R sin(pi (m - i)/2m).  Level
+    k has m = 8 * 2^k and adds the odd nodes, until two levels differ by
+    at most rel_tol * |C| sum_i |W_i| S_ij, S_j the mean of |g_j| over
+    the circle's first angular level.  The estimate adds |C| sum_i |W_i|
+    times each circle's accepted angular difference plus |x g'(|x|)| *
+    _ROUND_ULPS ulp (g' = (g(d + rho) - g(d - rho))/(2 rho) on that
+    level, |x| = d), and 64 ulp of the test's scale.  With columns set, g
+    maps distances shaped (..., 1) to k columns, results shaped (k,).
     """
+    R, A = phi.radius, phi.amplitude
+    C = TWO_PI * A if laplacian else 0.5 * math.pi * A * R * R
     fn = (lambda x: g(x[..., None])) if columns else g
     kernel = lambda q: fn(d * np.sqrt(q))
-    lo, hi = (np.zeros(1), np.full(1, R)) if columns else (0.0, R)
-    # 2 pi rho |w| * |x g'| ulps with |x| = d and g' = ends / (2 rho)
-    slope = math.pi * (_ROUND_ULPS * _ULP * d)
 
-    def h(rho, cap):
-        w = prof(rho)
-        weight = TWO_PI * rho * w
-        mean, diff, scale, ends = _theta_average(kernel, d, rho.ravel(), d, True, 0.0,
-                                                 _ARC_TOL * rel_tol, _budget(cap, weight))
-        size = np.abs(weight)
-        return weight * mean, size * scale, size * diff + slope * np.abs(w) * ends
+    def circles(i, m):
+        # mean, accepted angular difference, S and round-off |x g'| ulps at rho_i
+        rho = R * np.sin(0.5 * math.pi / m * (m - i))
+        parts = np.stack(_theta_average(kernel, d, rho, d, True, 0.0, _ARC_TOL * rel_tol))
+        rho = rho.reshape(rho.shape + (1,) * (parts.ndim - 2))
+        parts[3] *= (0.5 * _ROUND_ULPS * _ULP * d) / np.where(rho > 0.0, rho, math.inf)
+        return parts
 
-    return _tanh_sinh(h, lo, hi, rel_tol, nested=True)
+    m, level, diff = 8, 0, math.inf
+    parts = circles(np.arange(m + 1), m)
+    table = [(0, C * (_cc_weights(laplacian, m) @ parts[0]))]
+    for level in range(1, _CC_MAX_LEVEL + 1):
+        m *= 2
+        grown = np.empty((4, m + 1) + parts.shape[2:])
+        grown[:, ::2], grown[:, 1::2] = parts, circles(np.arange(1, m, 2), m)
+        parts, weights = grown, _cc_weights(laplacian, m)
+        mean, angular, scale, slope = parts
+        table.append((level, C * (weights @ mean)))
+        diff = abs(table[-1][1] - table[-2][1])
+        size = abs(C) * (np.abs(weights) @ scale)
+        if (diff <= rel_tol * size).all():
+            estimate = diff + abs(C) * (np.abs(weights) @ (angular + slope)) + 64.0 * _ULP * size
+            if columns:
+                return table[-1][1], estimate, tuple(table)
+            return float(table[-1][1]), float(estimate), tuple((i, float(v)) for i, v in table)
+        if not (diff < math.inf).all():  # a NaN or infinite difference never settles
+            break
+    last = float(np.max(diff))  # the largest column's, NaN first
+    raise QuadratureError(
+        "Clenshaw-Curtis quadrature on [0.0, %r] did not converge: level %d, last difference %r"
+        % (R, level, last), stage="radial", interval=(0.0, R), level=level, last_difference=last)
 
 
 def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
@@ -428,7 +469,8 @@ def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
     log singularity at the origin.  Origin-centered phi reduces to a 1D
     radial integral.  A phi centred at d >= _KAPPA * R is paired in its
     own frame: the profile times the mean of f over each circle
-    |x - c| = rho, rho in [0, R] (see _pair_in_bump_frame).  Otherwise f
+    |x - c| = rho, rho in [0, R], by a Clenshaw-Curtis rule in rho^2
+    weighted by the profile (see _pair_in_bump_frame).  Otherwise f
     times the arc average of phi (see _theta_average) is integrated over
     the annulus max(0, d - R) <= r <= d + R, cut at R - d when phi
     contains the origin.  Off the origin the error estimate adds the
@@ -447,9 +489,9 @@ def _pair_terms(fs, phi, rel_tol):
     Two or more share one tanh-sinh mesh, one column each (see
     _pair_columns).  In the origin frame one arc average of phi per node
     serves every f; in the bump frame each f needs its own circle mean,
-    but all share one set of angles per node.  A single f is paired by
-    pair_regular: with k = 1 the column arrays cost more per level than
-    the scalar rule.
+    but all share one set of circles and angles.  A single f is paired
+    by pair_regular: with k = 1 the column arrays cost more per level
+    than the scalar rule.
     """
     if len(fs) == 1:
         rep = pair_regular(fs[0], phi, rel_tol=rel_tol)

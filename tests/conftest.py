@@ -5,6 +5,7 @@ values come from the integral representation via QUADPACK, and radial
 pairings are cross-checked with scipy.integrate.quad.
 """
 
+import functools
 import math
 import warnings
 
@@ -72,6 +73,60 @@ def off_centre_oracle(kind, a, phi, laplacian=False):
             value += v
             err += e
     return value, max(err, 1e-13 * (1.0 + abs(value)))
+
+
+def bump_frame_oracle(f, phi, laplacian=False):
+    """<f, phi> (or <f, lap phi>) for any scalar radial f, as nested
+    QUADPACK integrals in the bump's own polar coordinates: the mean of f
+    over each circle |x - center| = rho by QUADPACK in theta, then rho over
+    eight equal pieces of [0, R].  Returns (value, tolerance) as
+    off_centre_oracle does."""
+    dist, R = math.hypot(*phi.center), phi.radius
+    w = phi.profile_laplacian if laplacian else phi.profile
+    kwargs = dict(epsabs=1e-15, epsrel=1e-13, limit=400)
+
+    def mean(rho):
+        a, b = dist * dist + rho * rho, 2.0 * dist * rho
+        return sciquad(lambda t: f(math.sqrt(a + b * math.cos(t))), 0.0, math.pi,
+                       **kwargs)[0] / math.pi
+
+    value = err = 0.0
+    cuts = np.linspace(0.0, R, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            v, e = sciquad(lambda rho: 2.0 * math.pi * rho * float(w(rho)) * mean(rho), lo, hi,
+                           **kwargs)
+            value += v
+            err += e
+    return value, max(err, 1e-13 * (1.0 + abs(value)))
+
+
+def _unit_bump_in_theta(theta, laplacian):
+    """The unit bump's profile exp(1 - 1/(1 - s)) (or s f''(s) + f'(s),
+    the radial Laplacian over 4) at s = cos^2(theta/2), with 1 - s =
+    sin^2(theta/2), written with math alone."""
+    t = math.sin(0.5 * theta) ** 2
+    if t < 1e-3:  # exp(1 - 1/t) has underflowed
+        return 0.0
+    f = math.exp(1.0 - 1.0 / t)
+    if not laplacian:
+        return f
+    s = 1.0 - t
+    return f * (s * (2.0 * s - 1.0) / t**4 - 1.0 / t**2)
+
+
+@functools.lru_cache(maxsize=None)
+def chebyshev_moments(laplacian, n):
+    """mu_j = int_-1^1 eta(x) T_j(x) dx for j = 0..n, eta(x) the unit bump
+    profile (or its Laplacian over 4) at s = (1 + x)/2, as QUADPACK's
+    cosine-weighted rule (QAWO) in x = cos(theta):
+    int_0^pi eta(cos theta) sin(theta) cos(j theta) dtheta."""
+    g = lambda theta: _unit_bump_in_theta(theta, laplacian) * math.sin(theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return np.array([sciquad(g, 0.0, math.pi, weight="cos", wvar=j, epsabs=1e-15,
+                                 epsrel=1e-14, limit=200)[0] for j in range(n + 1)])
 
 
 def mollified_oracle(f, fam, eps, phi):

@@ -3,11 +3,13 @@
 A seeded sweep of pairings <f, phi> (or <f, lap phi>) over the whole
 parameter range, each checked against the QUADPACK oracle in conftest:
 bump radii R log-uniform in [1e-3, 1e3], centres at d/R from 1e-3 to
-1e12 (bands inside the bump, on either side of quad._KAPPA, and far),
+1e12 (bands inside the bump, on either side of 1.6, and far),
 f = log|x| or K0(a|x|) with aR in [0.1, 10], move_ops at random, plus the
 bumps on the unit circle, where the mean of log|x| over every circle
 about the centre is 0.  A second sweep, on its own seed, dwells where
-the origin frame averages arcs and at the benchmark's strata.  The printed median and worst of
+the origin frame averages arcs and at the benchmark's strata, and a
+third dwells on either side of quad._KAPPA = 1.1, where the frame
+changes.  The printed median and worst of
 error / (estimate + oracle tolerance) show an estimate grown far too
 loose as well as one that misses.
 """
@@ -24,15 +26,21 @@ from conftest import off_centre_oracle
 AUDIT_SEED = 15
 AUDIT_CASES = 48
 # d/R bands, cycled: the bump contains the origin, lies on either side of
-# quad._KAPPA = 1.6, or lies far away
+# 1.6 (the frame boundary before quad._KAPPA fell to 1.1), or lies far away
 D_OVER_R_BANDS = ((1e-3, 1.0), (1.0, 1.6), (1.6, 8.0), (8.0, 1e12))
-# A second sweep on its own seed, weighted toward d/R < quad._KAPPA, where
-# the origin frame averages arcs, and toward the benchmark's strata (0.4,
+# A second sweep on its own seed, weighted toward d/R < 1.6, where the
+# origin frame averaged arcs, and toward the benchmark's strata (0.4,
 # 1.75 and 4.5 R, within 3 %)
 SWEEP_SEED = 16
 SWEEP_CASES = 96
 SWEEP_BANDS = ((1e-3, 1.0), (1.0, 1.6), (1e-3, 1.6), (0.388, 0.412), (1.6975, 1.8025),
                (4.365, 4.635), (1.6, 8.0), (8.0, 1e12))
+# A third, on either side of quad._KAPPA = 1.1: the origin frame just
+# below it, the bump frame just above, where its outer circles pass
+# closest to the origin
+KAPPA_SEED = 22
+KAPPA_CASES = 32
+KAPPA_BANDS = ((1.0, 1.1), (1.1, 1.25))
 
 
 def _log_uniform(rng, lo, hi):
@@ -84,3 +92,7 @@ def test_every_estimate_bounds_its_error():
 
 def test_every_estimate_bounds_its_error_near_the_origin_and_the_strata():
     _audit(audit_cases(SWEEP_SEED, SWEEP_CASES, SWEEP_BANDS, unit_circle=False))
+
+
+def test_every_estimate_bounds_its_error_on_either_side_of_kappa():
+    _audit(audit_cases(KAPPA_SEED, KAPPA_CASES, KAPPA_BANDS, unit_circle=False))

@@ -447,3 +447,118 @@ def test_vector_quadrature_error_names_the_worst_column():
     with pytest.raises(QuadratureError,
                        match=r"on \[0\.0, 2\.0\] did not converge: level \d+, last difference \S+"):
         _tanh_sinh(h, np.zeros(2), np.array([1.0, 2.0]), 1e-10)
+
+
+def test_tanh_sinh_failure_at_level_0_is_a_quadrature_error(monkeypatch):
+    # with no second level there is no difference to test: a QuadratureError,
+    # not a NameError from the report
+    import delta2d.quad as quad
+    monkeypatch.setattr(quad, "_TS_MAX_LEVEL", 0)
+    with pytest.raises(QuadratureError, match=r"on \[0\.0, 1\.0\].*level 0, last difference inf"):
+        integrate_radial(np.log, 1.0)
+    with pytest.raises(QuadratureError, match=r"level 0, last difference inf") as exc:
+        quad._tanh_sinh(lambda r: r, np.zeros(2), np.array([1.0, 2.0]), 1e-10)
+    assert exc.value.stage == "radial" and exc.value.interval in ((0.0, 1.0), (0.0, 2.0))
+
+
+@pytest.mark.parametrize("laplacian", [False, True])
+def test_bump_weighted_clenshaw_curtis_weights_against_quadpack_moments(laplacian):
+    # sum_i W_i T_j(x_i) = int eta T_j for every j <= m; the moments come from
+    # QUADPACK's cosine-weighted rule in theta, not from the package
+    import delta2d.quad as quad
+    from conftest import chebyshev_moments
+    mu = chebyshev_moments(laplacian, 512)
+    for m in (8, 16, 32, 64, 128, 256, 512):
+        weights = quad._cc_weights(laplacian, m)
+        k = np.arange(m + 1)
+        chebyshev = np.cos(math.pi / m * (np.outer(k, k) % (2 * m)))  # T_j(x_i), x_i = cos(pi i/m)
+        error = np.abs(weights @ chebyshev - mu[:m + 1])
+        assert error.max() <= 1e-13
+        # the weights' own error stays under the 64-ulp floor the bump frame's
+        # estimate carries for an f whose circle means are T_j
+        assert np.all(error <= 0.65 * 64.0 * math.ulp(1.0) * (np.abs(weights) @ np.abs(chebyshev)))
+        # int eta = 2 int_0^1 exp(1 - 1/(1 - s)) ds = 2 / (pi * the plane normalisation),
+        # and the Laplacian integrates to 0; the rule stays well conditioned
+        if laplacian:
+            assert abs(weights.sum()) <= 1e-13
+            assert np.abs(weights).sum() <= 4.0
+        else:
+            assert weights.sum() == pytest.approx(2.0 / (math.pi * quad._BUMP_PROFILE_NORM),
+                                                  rel=1e-13)
+            assert np.abs(weights).sum() <= 0.81
+
+
+HARD_CALLABLES = {
+    # a Gaussian ring of width 0.05 R through the bump centre (|x| = d), an
+    # oscillation and a power singularity at the origin
+    "ring": lambda d: (lambda r: np.exp(-((np.asarray(r, float) - d) / 0.05) ** 2)),
+    "cos20r": lambda d: (lambda r: np.cos(20.0 * np.asarray(r, float))),
+    "r^-3": lambda d: (lambda r: np.asarray(r, float) ** -3.0),
+}
+
+
+@pytest.mark.parametrize("move_ops", [False, True])
+@pytest.mark.parametrize("d", [1.2, 1.75, 4.5])
+@pytest.mark.parametrize("name", sorted(HARD_CALLABLES))
+def test_hard_callables_in_the_bump_frame_against_a_2d_oracle(name, d, move_ops):
+    from conftest import bump_frame_oracle
+    f = HARD_CALLABLES[name](d)
+    phi = make_bump(1.0, 1.0, (0.6 * d, 0.8 * d))
+    rep = pair_regular(f, phi, move_ops=move_ops)
+    want, oracle_tol = bump_frame_oracle(lambda r: float(f(r)), phi, laplacian=move_ops)
+    assert abs(rep.value - want) <= rep.abs_error_estimate + oracle_tol
+
+
+def test_bump_frame_failure_names_its_interval_and_level(monkeypatch):
+    # the ring needs m = 256 Lobatto intervals; capped at m = 16 the rule fails
+    import delta2d.quad as quad
+    monkeypatch.setattr(quad, "_CC_MAX_LEVEL", 1)
+    with pytest.raises(QuadratureError, match=r"on \[0\.0, 1\.0\] did not converge: level 1, "
+                                              r"last difference \S+") as exc:
+        pair_regular(HARD_CALLABLES["ring"](1.75), make_bump(1.0, 1.0, (1.75, 0.0)))
+    err = exc.value
+    assert err.stage == "radial" and err.interval == (0.0, 1.0) and err.level == 1
+    assert "difference %r" % err.last_difference in str(err) and err.last_difference > 0.0
+
+
+@pytest.mark.parametrize("move_ops", [False, True])
+@pytest.mark.parametrize("d", [1.75, 4.5])
+@pytest.mark.parametrize("kind", ["log", "k0", "psi"])
+def test_bump_frame_takes_few_circle_points(monkeypatch, kind, d, move_ops):
+    # 17 to 33 circle means: at most 1,000 angular points per pairing
+    import delta2d.quad as quad
+    points = [0]
+    average = quad._theta_average
+
+    def counting(kernel, *args, **kwargs):
+        def counted(q):
+            points[0] += np.size(q)
+            return kernel(q)
+        return average(counted, *args, **kwargs)
+
+    monkeypatch.setattr(quad, "_theta_average", counting)
+    pre = 1.0 if kind != "psi" else 1.0 / math.sqrt(math.pi)
+    f = np.log if kind == "log" else (lambda r: pre * k0(np.asarray(r, float)))
+    pair_regular(f, make_bump(1.0, 1.0, (d, 0.0)), move_ops=move_ops)
+    assert points[0] <= 1000
+
+
+def test_bump_frame_estimate_is_not_loose_for_the_laplacian():
+    # <log, lap phi> = 2 pi phi(0) = 0 here; the estimate stays within 1e3 of
+    # the actual error, where the tanh-sinh product rule reported about 1e6 times it
+    phi = make_bump(1.0, 1.0, (4.5, 0.0))
+    rep = pair_regular(np.log, phi, move_ops=True)
+    want, _ = off_centre_oracle("log", 1.0, phi, laplacian=True)
+    assert abs(rep.value - want) <= rep.abs_error_estimate <= 1e3 * (abs(rep.value - want) + 1e-15)
+
+
+@pytest.mark.parametrize("d", [1.2, 1.75])
+def test_bump_frame_columns_match_single_pairings(d):
+    # the multi-term path pairs every term as one column of the same rule
+    from delta2d import parse_expr, weak_pair_expr
+    phi = make_bump(1.0, 1.0, (d, 0.0))
+    rep = weak_pair_expr(parse_expr("log_r + K0(1.0*r)"), phi)
+    parts = [pair_regular(f, phi) for f in (np.log, lambda r: k0(np.asarray(r, float)))]
+    assert rep.value == pytest.approx(sum(p.value for p in parts), rel=1e-14)
+    (log_v, log_tol), (k0_v, k0_tol) = (off_centre_oracle(k, 1.0, phi) for k in ("log", "k0"))
+    assert abs(rep.value - (log_v + k0_v)) <= rep.abs_error_estimate + log_tol + k0_tol

@@ -9,8 +9,11 @@ without move_ops, plus origin-centred pair_regular and integrate_radial
 controls -- every tree reports the points its angular rule evaluates
 (the size of every argument passed to quad._theta_average's kernel), the
 points its radial rule evaluates (the size of every node array passed to
-a quad._tanh_sinh integrand), the value, the estimate, and the minimum
-time per call over N calls with the counting hooks removed.  Each round
+a quad._tanh_sinh integrand, plus every circle the bump frame averages
+outside one, its Clenshaw-Curtis nodes), the value, the estimate, and
+the minimum time per call over N calls with the counting hooks removed.
+Each case runs once before it is counted, so that work cached on first
+use (the Clenshaw-Curtis weights) is counted by no case.  Each round
 runs one fresh process per tree, alternating which tree goes first; the
 time reported is the minimum over rounds.  Prints JSON.
 """
@@ -53,21 +56,29 @@ def worker(src, repeat):
 
     counts = {"angular": 0, "radial": 0}
     theta, tanh_sinh = quad._theta_average, quad._tanh_sinh
+    depth = [0]  # tanh-sinh calls open: their nodes are counted already
 
-    def counting_theta(kernel, *args, **kwargs):
+    def counting_theta(kernel, d, r, unit, whole, *args, **kwargs):
         def counted(q):
             counts["angular"] += int(np.size(q))
             return kernel(q)
-        return theta(counted, *args, **kwargs)
+        if whole and not depth[0]:
+            counts["radial"] += int(np.size(r))
+        return theta(counted, d, r, unit, whole, *args, **kwargs)
 
     def counting_tanh_sinh(h, *args, **kwargs):
         def counted(x, *rest):
             counts["radial"] += int(np.size(x))
             return h(x, *rest)
-        return tanh_sinh(counted, *args, **kwargs)
+        depth[0] += 1
+        try:
+            return tanh_sinh(counted, *args, **kwargs)
+        finally:
+            depth[0] -= 1
 
     out = {}
     for name, call in _cases(np, quad, testfn, k0).items():
+        call()
         counts.update(angular=0, radial=0)
         quad._theta_average, quad._tanh_sinh = counting_theta, counting_tanh_sinh
         try:
