@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "specfun": ("EULER_GAMMA", "k0", "k0_log_form"),
-    "testfn": ("BumpFunction", "make_bump", "bump_eval", "rescale"),
+    "testfn": ("BumpFunction", "make_bump", "rescale"),
     "quad": ("MollifierFamily", "PairingReport", "LogFitResult", "QuadratureError",
              "integrate_radial", "pair_regular", "pair_delta",
              "pair_mollified_product", "fit_log_divergence"),

@@ -271,7 +271,7 @@ def cmd_pair(args, stream):
     center = tuple(float(v) for v in args.phi_center.split(","))
     phi = testfn.make_bump(args.phi_amplitude, args.phi_radius, center)
     canon, trace = dexpr.rewrite_full(expr, L=args.L)
-    report = dexpr.weak_pair_expr(expr, phi, L=args.L)
+    report = dexpr.weak_pair_expr(canon, phi, L=args.L)
     rows = [{"kind": "trace", "name": step.rule, "detail": step.identity,
              "before": step.before, "after": step.after} for step in trace]
     rows.append({"kind": "canonical", "name": "canonical_form",

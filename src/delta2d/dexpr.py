@@ -392,6 +392,12 @@ class RewriteTrace(list):
         self.append(RewriteStep(rule, identity, print_expr(before), print_expr(after)))
 
 
+# Each unary node rebuilt around a new child.
+_REBUILD = {ScalarMul: lambda e, child: ScalarMul(e.coeff, child),
+            Laplacian: lambda e, child: Laplacian(child),
+            ScaleArg: lambda e, child: ScaleArg(e.s, child)}
+
+
 def _replace_first(e, matcher, skip=None):
     """Apply matcher to the first matching node (pre-order).
 
@@ -413,24 +419,12 @@ def _replace_first(e, matcher, skip=None):
                 terms = e.terms[:idx] + (new,) + e.terms[idx + 1:]
                 return Sum(terms), info
         return None
-    if isinstance(e, ScalarMul):
+    rebuild = _REBUILD.get(type(e))
+    if rebuild is not None:
         sub = _replace_first(e.child, matcher, skip)
         if sub is not None:
             new, info = sub
-            return ScalarMul(e.coeff, new), info
-        return None
-    if isinstance(e, Laplacian):
-        sub = _replace_first(e.child, matcher, skip)
-        if sub is not None:
-            new, info = sub
-            return Laplacian(new), info
-        return None
-    if isinstance(e, ScaleArg):
-        sub = _replace_first(e.child, matcher, skip)
-        if sub is not None:
-            new, info = sub
-            return ScaleArg(e.s, new), info
-        return None
+            return rebuild(e, new), info
     return None
 
 
@@ -508,8 +502,11 @@ def _laplacian_matcher(node):
     raise RewriteError("no Laplacian rule for %s" % print_expr(child))
 
 
-def _product_matcher_for(L):
-    mag = abs(L)
+def _product_rule(L):
+    """The product rules split against L, as a (matcher, skip) pair."""
+    mag = abs(float(L))
+    if mag == 0.0 or not math.isfinite(mag):
+        raise ValueError("the reference length L must be nonzero and finite")
 
     def matcher(node):
         if not isinstance(node, Product):
@@ -528,20 +525,19 @@ def _product_matcher_for(L):
                     ("product-psi-delta", "psi_b = (b/sqrt(pi))*K0(b|x|)"))
         return None
 
-    return matcher
+    # The product rules split a logarithm against the fixed reference length;
+    # under a pending argument scaling that split would drop the |s| factor,
+    # so product matching never descends into ScaleArg nodes (the scaling
+    # rules eliminate them first).
+    return matcher, lambda node: isinstance(node, ScaleArg)
 
 
-# The product rules split a logarithm against the fixed reference length;
-# under a pending argument scaling that split would drop the |s| factor,
-# so product matching never descends into ScaleArg nodes (the scaling
-# rules eliminate them first).
-_SKIP_SCALED = lambda node: isinstance(node, ScaleArg)
+def _run_fixpoint(e, matchers, rng=None):
+    """Apply the first matcher that fires until none fires.
 
-
-def _run_fixpoint(e, matchers, trace, rng=None):
-    """Apply the first matcher that fires, recording each step in trace,
-    until none fires.  With rng, every step tries the matchers in a freshly
-    shuffled order."""
+    Returns (expression, trace of every step).  With rng, every step tries
+    the matchers in a freshly shuffled order."""
+    trace = RewriteTrace()
     while True:
         order = matchers
         if rng is not None:
@@ -555,7 +551,7 @@ def _run_fixpoint(e, matchers, trace, rng=None):
                 e = new
                 break
         else:
-            return e
+            return e, trace
 
 
 def scale_expr(e, s):
@@ -563,27 +559,17 @@ def scale_expr(e, s):
     sf = float(s)
     if sf == 0.0 or not math.isfinite(sf):
         raise ValueError("scale factor must be nonzero and finite")
-    trace = RewriteTrace()
-    if sf == 1.0:
-        return _run_fixpoint(e, [(_scale_matcher, None)], trace), trace
-    return _run_fixpoint(ScaleArg(sf, e), [(_scale_matcher, None)], trace), trace
+    return _run_fixpoint(e if sf == 1.0 else ScaleArg(sf, e), [(_scale_matcher, None)])
 
 
 def laplacian_expr(e):
     """Rewrite all Laplacian applications via the closed-form identities."""
-    trace = RewriteTrace()
-    out = _run_fixpoint(e, [(_laplacian_matcher, None)], trace)
-    return out, trace
+    return _run_fixpoint(e, [(_laplacian_matcher, None)])
 
 
 def rewrite_singular_products(e, L):
     """Resolve products f*delta against the reference length scale L."""
-    Lf = float(L)
-    if Lf == 0.0 or not math.isfinite(Lf):
-        raise ValueError("the reference length L must be nonzero and finite")
-    trace = RewriteTrace()
-    out = _run_fixpoint(e, [(_product_matcher_for(Lf), _SKIP_SCALED)], trace)
-    return out, trace
+    return _run_fixpoint(e, [_product_rule(L)])
 
 
 def rewrite_full(e, L=1.0, rng=None):
@@ -592,13 +578,9 @@ def rewrite_full(e, L=1.0, rng=None):
     When rng is given, the rule application order is randomized at each
     step; the result is order-independent (the rule set is confluent).
     """
-    Lf = float(L)
-    if Lf == 0.0 or not math.isfinite(Lf):
-        raise ValueError("the reference length L must be nonzero and finite")
-    trace = RewriteTrace()
-    matchers = [(_scale_matcher, None), (_laplacian_matcher, None),
-                (_product_matcher_for(Lf), _SKIP_SCALED)]
-    return normalize(_run_fixpoint(e, matchers, trace, rng)), trace
+    matchers = [(_scale_matcher, None), (_laplacian_matcher, None), _product_rule(L)]
+    out, trace = _run_fixpoint(e, matchers, rng)
+    return normalize(out), trace
 
 
 # --------------------------------------------------------------------------
@@ -670,10 +652,8 @@ def apply_hamiltonian(b, params):
         raise ValueError("b must be positive and finite")
     kinetic = ScalarMul(-params.hbar**2 / (2.0 * params.mass), Laplacian(Psi(b)))
     potential = ScalarMul(-params.alpha, Product(Psi(b), Delta()))
-    trace = RewriteTrace()
-    expr = _run_fixpoint(Sum((kinetic, potential)),
-                         [(_laplacian_matcher, None),
-                          (_product_matcher_for(float(params.L)), _SKIP_SCALED)], trace)
+    expr, trace = _run_fixpoint(Sum((kinetic, potential)),
+                                [(_laplacian_matcher, None), _product_rule(params.L)])
     return normalize(expr), trace
 
 
@@ -751,8 +731,8 @@ def _radial_callable(leaf):
     if isinstance(leaf, LogRadial):
         return np.log
     if isinstance(leaf, LogRadialScaled):
-        mag = abs(leaf.scale)
-        return lambda r: np.log(np.asarray(r, dtype=float) / mag)
+        log_mag = math.log(abs(leaf.scale))
+        return lambda r: np.log(r) - log_mag
     if isinstance(leaf, K0Radial):
         a = leaf.a
         return lambda r: _k0(a * np.asarray(r, dtype=float))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["BumpFunction", "make_bump", "bump_eval", "rescale"]
+__all__ = ["BumpFunction", "make_bump", "rescale"]
 
 # Inner cutoff: once 1 - u^2 is this small the profile has underflowed to
 # zero anyway, and the rational prefactors would overflow.
@@ -127,17 +127,6 @@ class BumpFunction:
 
 def make_bump(amplitude, radius, center=(0.0, 0.0)):
     return BumpFunction(float(amplitude), float(radius), tuple(center))
-
-
-def bump_eval(phi, point, order="value"):
-    """Evaluate value, gradient or laplacian of a bump at a point."""
-    if order == "value":
-        return phi.value(point)
-    if order == "gradient":
-        return phi.gradient(point)
-    if order == "laplacian":
-        return phi.laplacian(point)
-    raise ValueError("order must be one of 'value', 'gradient', 'laplacian'")
 
 
 def rescale(phi, L):

@@ -203,8 +203,129 @@ def test_product_rule_fires_once_and_leaves_no_splittable_logs():
 
 
 def test_rewrite_rejects_zero_L():
-    with pytest.raises(ValueError):
-        rewrite_singular_products(parse_expr("K0(1*r)*delta"), 0.0)
+    e = parse_expr("K0(1*r)*delta")
+    for L in (0.0, math.inf, math.nan):
+        for rewrite in (rewrite_full, rewrite_singular_products):
+            with pytest.raises(ValueError,
+                               match="^the reference length L must be nonzero and finite$"):
+                rewrite(e, L)
+
+
+# ---------------------------------------------------------- rule traces
+
+
+# (text, result, [(rule, after), ...]) for rewrite_full at L = 1.5: the two
+# expressions fire every scale-, lap- and product- rule.  Each step's
+# `before` is the text or the previous step's `after`.
+_GOLDEN_REWRITES = [
+    ('scale(2.0, delta + 3.0*K0(1.5*r)*delta + scale(-0.5, lap(log_r)) + '
+     'psi(1.0))',
+     '0.5*psi(2.0) + 5.4920758963411895*delta',
+     [
+         ('scale-sum',
+          'scale(2.0, delta) + scale(2.0, 3.0*K0(1.5*r)*delta) + scale(2.0, '
+          'scale(-0.5, lap(log_r))) + scale(2.0, psi(1.0))'),
+         ('scale-delta',
+          '0.25*delta + scale(2.0, 3.0*K0(1.5*r)*delta) + scale(2.0, '
+          'scale(-0.5, lap(log_r))) + scale(2.0, psi(1.0))'),
+         ('scale-scalar',
+          '0.25*delta + 3.0*scale(2.0, K0(1.5*r)*delta) + scale(2.0, '
+          'scale(-0.5, lap(log_r))) + scale(2.0, psi(1.0))'),
+         ('scale-product',
+          '0.25*delta + 0.75*K0(3.0*r)*delta + scale(2.0, scale(-0.5, '
+          'lap(log_r))) + scale(2.0, psi(1.0))'),
+         ('scale-compose',
+          '0.25*delta + 0.75*K0(3.0*r)*delta + scale(-1.0, lap(log_r)) + '
+          'scale(2.0, psi(1.0))'),
+         ('scale-laplacian',
+          '0.25*delta + 0.75*K0(3.0*r)*delta + 1.0*lap(scale(-1.0, log_r)) + '
+          'scale(2.0, psi(1.0))'),
+         ('scale-regular',
+          '0.25*delta + 0.75*K0(3.0*r)*delta + 1.0*lap(log_r_over(1.0)) + '
+          'scale(2.0, psi(1.0))'),
+         ('scale-regular',
+          '0.25*delta + 0.75*K0(3.0*r)*delta + 1.0*lap(log_r_over(1.0)) + '
+          '0.5*psi(2.0)'),
+         ('lap-log',
+          '0.25*delta + 0.75*K0(3.0*r)*delta + 6.283185307179586*delta + '
+          '0.5*psi(2.0)'),
+         ('product-k0-delta',
+          '0.25*delta + -1.0411094108383963*delta + 6.283185307179586*delta + '
+          '0.5*psi(2.0)'),
+     ]),
+    ('lap(2.0*K0(1.5*r) + psi(0.5) + log_r_over(3.0)) + log_r*delta + '
+     'psi(2.0)*delta',
+     '0.25*psi(0.5) + 4.5*K0(1.5*r) - 9.164475670254559*delta',
+     [
+         ('lap-sum',
+          'lap(2.0*K0(1.5*r)) + lap(psi(0.5)) + lap(log_r_over(3.0)) + '
+          'log_r*delta + psi(2.0)*delta'),
+         ('lap-scalar',
+          '2.0*lap(K0(1.5*r)) + lap(psi(0.5)) + lap(log_r_over(3.0)) + '
+          'log_r*delta + psi(2.0)*delta'),
+         ('lap-k0',
+          '4.5*K0(1.5*r) + -12.566370614359172*delta + lap(psi(0.5)) + '
+          'lap(log_r_over(3.0)) + log_r*delta + psi(2.0)*delta'),
+         ('lap-psi',
+          '4.5*K0(1.5*r) + -12.566370614359172*delta + 0.25*psi(0.5) - '
+          '1.7724538509055159*delta + lap(log_r_over(3.0)) + log_r*delta + '
+          'psi(2.0)*delta'),
+         ('lap-log',
+          '4.5*K0(1.5*r) + -12.566370614359172*delta + 0.25*psi(0.5) - '
+          '1.7724538509055159*delta + 6.283185307179586*delta + log_r*delta + '
+          'psi(2.0)*delta'),
+         ('product-log-delta',
+          '4.5*K0(1.5*r) + -12.566370614359172*delta + 0.25*psi(0.5) - '
+          '1.7724538509055159*delta + 6.283185307179586*delta + 0 + '
+          'psi(2.0)*delta'),
+         ('product-psi-delta',
+          '4.5*K0(1.5*r) + -12.566370614359172*delta + 0.25*psi(0.5) - '
+          '1.7724538509055159*delta + 6.283185307179586*delta + 0 + '
+          '1.1283791670955126*K0(2.0*r)*delta'),
+         ('product-k0-delta',
+          '4.5*K0(1.5*r) + -12.566370614359172*delta + 0.25*psi(0.5) - '
+          '1.7724538509055159*delta + 6.283185307179586*delta + 0 + '
+          '-1.1088365121694566*delta'),
+     ]),
+]
+_GOLDEN_HAMILTONIAN = (
+    '-1.0*psi(1.0) + 3.414092994732272*delta',
+    [
+        ('lap-psi',
+         '-1.0*psi(1.0) - -3.5449077018110318*delta - 2.0*psi(1.0)*delta'),
+        ('product-psi-delta',
+         '-1.0*psi(1.0) - -3.5449077018110318*delta - '
+         '1.1283791670955126*K0(1.0*r)*delta'),
+        ('product-k0-delta',
+         '-1.0*psi(1.0) - -3.5449077018110318*delta - '
+         '0.13081470707875978*delta'),
+    ])
+
+
+def _steps(text, trace):
+    befores = [text] + [after for _, after in trace[:-1]]
+    return [(rule, before, after) for (rule, after), before in zip(trace, befores)]
+
+
+def test_rewrite_traces_are_pinned():
+    for text, result, steps in _GOLDEN_REWRITES:
+        out, trace = rewrite_full(parse_expr(text), L=1.5)
+        assert print_expr(out) == result
+        assert [(s.rule, s.before, s.after) for s in trace] == _steps(text, steps)
+    out, trace = apply_hamiltonian(1.0, PhysicalParams(1.0, 0.5, 2.0, 1.0))
+    result, steps = _GOLDEN_HAMILTONIAN
+    assert print_expr(out) == result
+    assert ([(s.rule, s.before, s.after) for s in trace]
+            == _steps("-1.0*lap(psi(1.0)) - 2.0*psi(1.0)*delta", steps))
+
+
+def test_rewrite_of_a_canonical_form_is_a_no_op():
+    # what lets `delta2d pair` rewrite its expression once
+    rng = random.Random(2718)
+    for _ in range(200):
+        canon, _ = rewrite_full(dx.random_rewritable_expr(rng), L=1.5)
+        again, trace = rewrite_full(canon, L=1.5)
+        assert again == canon and trace == []
 
 
 # ------------------------------------------------------------- canonical
@@ -323,6 +444,20 @@ def test_multi_leaf_pairing_against_oracles(center, lap):
         tol += c * t
     assert abs(rep.value - want) <= rep.abs_error_estimate + tol
     assert rep.value == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.4, 0.0), (3.0, 0.0)])
+@pytest.mark.parametrize("s", [1e-320, -1e-310, 1e300, 2.0])
+def test_log_r_over_pairing_at_extreme_scales(s, center):
+    # log(|x|/|s|) = log|x| - log|s|, so the pairing is <log, phi> minus
+    # log|s| times the integral A*R^2/_BUMP_PROFILE_NORM of the bump
+    from delta2d import quad
+    phi = make_bump(1.5, 0.8, center)
+    rep = weak_pair_expr(dx.LogRadialScaled(s), phi)
+    want = (pair_regular(np.log, phi).value
+            - math.log(abs(s)) * phi.amplitude * phi.radius**2 / quad._BUMP_PROFILE_NORM)
+    assert abs(rep.value - want) <= rep.abs_error_estimate + 1e-12 * abs(want)
 
 
 def test_weak_pair_eigen_property():

@@ -149,7 +149,7 @@ def test_each_subcommand_imports_only_what_it_needs(argv, loaded):
 # The public names of the package, as its modules define them.
 _PUBLIC = {
     "specfun": ("EULER_GAMMA", "k0", "k0_log_form"),
-    "testfn": ("BumpFunction", "make_bump", "bump_eval", "rescale"),
+    "testfn": ("BumpFunction", "make_bump", "rescale"),
     "quad": ("MollifierFamily", "PairingReport", "LogFitResult", "QuadratureError",
              "integrate_radial", "pair_regular", "pair_delta", "pair_mollified_product",
              "fit_log_divergence"),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from delta2d import make_bump, bump_eval, rescale
+from delta2d import make_bump, rescale
 
 
 def test_center_value_is_amplitude_exactly():
@@ -16,8 +16,8 @@ def test_boundary_and_exterior_are_exact_zero():
     for pt in [(1.0, 0.0), (0.0, -1.0), (2.0, 0.0), (0.7071067811865476,) * 2,
                (1.5, 1.5)]:
         assert phi.value(pt) == 0.0
-    assert bump_eval(phi, (2.0, 0.0), "gradient") == (0.0, 0.0)
-    assert bump_eval(phi, (2.0, 0.0), "laplacian") == 0.0
+    assert phi.gradient((2.0, 0.0)) == (0.0, 0.0)
+    assert phi.laplacian((2.0, 0.0)) == 0.0
 
 
 def test_derived_point_value():
@@ -125,5 +125,3 @@ def test_validation_errors():
         make_bump(math.inf, 1.0)
     with pytest.raises(ValueError):
         rescale(make_bump(1.0, 1.0), 0.0)
-    with pytest.raises(ValueError):
-        bump_eval(make_bump(1.0, 1.0), (0.0, 0.0), "hessian")
