@@ -315,8 +315,6 @@ class _Parser:
 
     def atom(self):
         kind, val, pos = self.next()
-        if kind == "num" and float(val) == 0.0:
-            return ZERO
         if kind != "name":
             raise ExprSyntaxError("expected a term", pos)
         if val == "delta":
@@ -657,22 +655,22 @@ def apply_hamiltonian(b, params):
     return normalize(expr), trace
 
 
-def weak_pair_expr(e, phi, L=1.0, rel_tol=1e-10):
+def weak_pair_expr(e, phi, L=1.0):
     """Weak pairing <e, phi>: rewrite to canonical form, then dispatch.
 
     delta terms are evaluated by point evaluation, regular radial terms by
-    quadrature, two or more of them on one shared tanh-sinh mesh (see
-    quad._pair_terms).  The value is sum c_i v_i and the estimate
-    sum |c_i| est_i.  L is only consulted when e still contains singular
-    products.
+    quadrature: two or more of them share one tanh-sinh call against an
+    origin-centred or near bump, and each is one pair_regular call against
+    a far one (see quad._pair_terms).  The value is sum c_i v_i and the
+    estimate sum |c_i| est_i.  L is only consulted when e still contains
+    singular products.
     """
     from . import quad as _quad
     canon, _ = rewrite_full(e, L=L)
     regular = [t for t in canon.terms if isinstance(t.child, _REGULAR_KINDS)]
     value = err = 0.0
     if regular:
-        values, estimates = _quad._pair_terms([_radial_callable(t.child) for t in regular],
-                                              phi, rel_tol)
+        values, estimates = _quad._pair_terms([_radial_callable(t.child) for t in regular], phi)
         for term, v, est in zip(regular, values, estimates):
             value += term.coeff * v
             err += abs(term.coeff) * est

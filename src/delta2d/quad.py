@@ -9,13 +9,17 @@ divergence structure.
 The rule is vector-valued: k integrals, each on its own interval, share
 one t-mesh and one call, every column stopping on its own test.  The
 mollified probe puts every width eps in one call, and weak_pair_expr
-(dexpr) every regular term of an expression that has two or more.
+(dexpr) every regular term of an expression that has two or more, when
+the bump is origin-centred or in the origin frame below; in the bump
+frame each term is one pair_regular call.  Every pairing stops at the
+one relative tolerance _REL_TOL = 1e-10.
 
 A bump centred at c != 0 (d = |c|, radius R) is paired in one of two
-frames, both through circle averages taken by a nested trapezoid rule
-doubled until two levels agree (_theta_average).  Each node on a circle
-is placed by its squared distance in the frame's own unit, R or d, so
-no root is taken where none is needed and no r * d overflows:
+frames, which pair_regular picks, both through circle averages taken by
+a nested trapezoid rule doubled until two levels agree
+(_theta_average).  Each node on a circle is placed by its squared
+distance in the frame's own unit, R or d, so no root is taken where
+none is needed and no r * d overflows:
 
 - Bump frame, d >= _KAPPA * R (1.1 R): <f, w> = int_0^R 2 pi rho w(rho)
   M_f(rho) drho, with w the bump profile (or its Laplacian) and M_f(rho)
@@ -23,10 +27,9 @@ no root is taken where none is needed and no r * d overflows:
   meets the origin, so the angular rule converges like (rho/d)^n, and
   no arc width is formed from r - d, which loses digits as d/R grows.
   M_f is analytic in rho^2, so a Clenshaw-Curtis rule in rho^2 weighted
-  by the bump's own shape needs it on few circles (17 for log and K0 at
-  rel_tol 1e-10).  Its tests
-  take their scale from the mean of |f| over each circle, not from M_f,
-  which cancels to 0 for log at d = 1.
+  by the bump's own shape needs it on few circles (17 for log and K0).
+  Its tests take their scale from the mean of |f| over each circle, not
+  from M_f, which cancels to 0 for log at d = 1.
 - Origin frame, d < _KAPPA * R, and every mollified probe: f times the
   average of the bump (taken in squared distance, profile_sq or
   laplacian_sq) over the circles |x| = r, each taken only over the arc
@@ -35,7 +38,7 @@ no root is taken where none is needed and no r * d overflows:
   annulus is cut at r = R - d, where the circle leaves the support and
   the average stops being analytic; both segments share the one call.
 
-A circle's angular tolerance is a fixed floor, _ARC_TOL * rel_tol times
+A circle's angular tolerance is a fixed floor, _ARC_TOL * _REL_TOL times
 |w(0)| or, in the bump frame, times the largest mean of |f| over the
 circles of a radial level.  In the origin frame it is raised to _ARC_TOL
 times the node's share of the radial test, so nodes that carry little
@@ -81,6 +84,8 @@ _BUMP_PROFILE_NORM = 0.7885737797126772
 _TS_SPAN = 4.0
 _TS_MAX_LEVEL = 12
 _ULP = math.ulp(1.0)
+# Relative tolerance of every pairing, the one value the estimate audits check
+_REL_TOL = 1e-10
 # math.exp(x) overflows for x above this
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -91,7 +96,7 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _ARC_START = 8
 _ARC_MAX_LEVEL = 12
 # The angular rule stops when two levels agree to this fraction of
-# rel_tol * |profile(0)| (origin frame) or rel_tol * the largest mean of
+# _REL_TOL * |profile(0)| (origin frame) or _REL_TOL * the largest mean of
 # |f| over the circles of one radial level (bump frame), or, where that is
 # looser, of the error that would use a node's whole radial budget.
 _ARC_TOL = 1e-3
@@ -221,7 +226,7 @@ def _tanh_sinh(h, lo, hi, rel_tol, nested=False):
         last_difference=diff)
 
 
-def integrate_radial(g, r_max, rel_tol=1e-10):
+def integrate_radial(g, r_max):
     """Integral of g(r) * 2*pi*r over (0, r_max] by the tanh-sinh rule.
 
     g must be vectorized and integrable with at worst a log singularity at
@@ -230,7 +235,7 @@ def integrate_radial(g, r_max, rel_tol=1e-10):
     """
     if not (math.isfinite(r_max) and r_max > 0.0):
         raise ValueError("integrate_radial requires r_max > 0")
-    return PairingReport(*_tanh_sinh(lambda r: TWO_PI * r * g(r), 0.0, r_max, rel_tol))
+    return PairingReport(*_tanh_sinh(lambda r: TWO_PI * r * g(r), 0.0, r_max, _REL_TOL))
 
 
 def _theta_average(kernel, d, r, unit, whole, atol, rtol=0.0, budget=None):
@@ -254,18 +259,16 @@ def _theta_average(kernel, d, r, unit, whole, atol, rtol=0.0, budget=None):
     Levels double, each reusing the nodes of the last, until two agree to
     the circle's tolerance: atol + rtol * scale, where a circle's scale is
     the mean of |kernel| over its first level's nodes and the test takes
-    the largest scale among the circles of the call (per column; a
-    circle's own scale can be as small as r near a zero of f, log |x|
-    about |c| = 1, where f's round-off is not), raised to budget where
-    the caller's radial rule allows more.
+    the largest scale among the circles of the call (a circle's own scale
+    can be as small as r near a zero of f, log |x| about |c| = 1, where
+    f's round-off is not), raised to budget where the caller's radial rule
+    allows more.
 
-    r may have any shape, and budget that shape (plus a column axis).
-    kernel receives squared distances shaped (nodes, angles) and returns
-    that shape, or that shape plus a trailing column axis, each column
-    averaged on the same angles.  Returns the averages, the accepted level
-    differences, the scales and |kernel(end) - kernel(nearest)| on the
-    first level (in the bump frame |f(d + r) - f(d - r)|), shaped r.shape
-    plus the column axis.
+    r may have any shape, and budget that shape.  kernel receives squared
+    distances shaped (nodes, angles) and returns that shape.  Returns the
+    averages, the accepted level differences, the scales and
+    |kernel(end) - kernel(nearest)| on the first level (in the bump frame
+    |f(d + r) - f(d - r)|), each shaped r.
     """
     r = np.asarray(r, dtype=float)
     shape, r = r.shape, r.ravel()
@@ -285,37 +288,33 @@ def _theta_average(kernel, d, r, unit, whole, atol, rtol=0.0, budget=None):
 
     n = _ARC_START
     vals = arc(slice(None), np.arange(n + 1) / n)
-    span = w.reshape(w.shape + (1,) * (vals.ndim - 2))  # w on the column axis
     sums = vals[:, 1:-1].sum(axis=1) + 0.5 * (vals[:, 0] + vals[:, -1])
-    avg = sums * span / (math.pi * n)
+    avg = sums * w / (math.pi * n)
     ends = np.abs(vals[:, -1] - vals[:, 0])
     vals = np.abs(vals)
-    scale = (vals[:, 1:-1].sum(axis=1) + 0.5 * (vals[:, 0] + vals[:, -1])) * span / (math.pi * n)
-    tol = atol + rtol * scale.max(axis=0)
+    scale = (vals[:, 1:-1].sum(axis=1) + 0.5 * (vals[:, 0] + vals[:, -1])) * w / (math.pi * n)
+    tol = atol + rtol * scale.max()
     if budget is not None:  # fmax: a NaN budget (0/0) leaves the tolerance as it is
-        tol = np.fmax(tol, np.reshape(budget, (r.size, -1) if avg.ndim > 1 else r.size))
+        tol = np.fmax(tol, np.ravel(budget))
     tol = np.broadcast_to(tol, avg.shape)
     diff = np.zeros_like(avg)
     active = np.flatnonzero(w > 0.0)
     level = 0
     while active.size:
         if level == _ARC_MAX_LEVEL:
-            gaps = diff[active].reshape(active.size, -1)
-            i, j = divmod(int(np.argmax(gaps - tol[active].reshape(gaps.shape))), gaps.shape[1])
-            rho, last = float(r[active[i]]), float(gaps[i, j])
+            i = active[int(np.argmax(diff[active] - tol[active]))]
+            rho, last = float(r[i]), float(diff[i])
             raise QuadratureError(
                 "angular average did not converge at r=%r: level %d, last difference %r"
                 % (rho, level, last), stage="angular", r=rho, level=level, last_difference=last)
         sums[active] += arc(active, (2.0 * np.arange(n) + 1.0) / (2 * n)).sum(axis=1)
         n *= 2
         level += 1
-        new = sums[active] * span[active] / (math.pi * n)
+        new = sums[active] * w[active] / (math.pi * n)
         diff[active] = np.abs(new - avg[active])
         avg[active] = new
-        late = diff[active] > tol[active]
-        active = active[late if late.ndim == 1 else late.any(axis=1)]
-    extra = avg.shape[1:]
-    return tuple(v.reshape(shape + extra) for v in (avg, diff, scale, ends))
+        active = active[diff[active] > tol[active]]
+    return tuple(v.reshape(shape) for v in (avg, diff, scale, ends))
 
 
 def _budget(cap, weight):
@@ -327,7 +326,7 @@ def _budget(cap, weight):
         return _ARC_TOL * cap / np.abs(weight)
 
 
-def _pair_columns(g, phi, laplacian, cap, rel_tol):
+def _pair_columns(g, phi, laplacian, cap):
     """int 2 pi r g_j(r) w(r) dr over [max(0, d - R), min(d + R, cap_j)],
     the part of the annulus phi covers below cap_j, for each column j of
     g on one tanh-sinh mesh.  w is phi.profile (phi.profile_laplacian
@@ -335,20 +334,16 @@ def _pair_columns(g, phi, laplacian, cap, rel_tol):
     (see _theta_average), shared by every column of a node.  cap is a
     float, or caps of shape (k,) or (1,), which shape the nodes g
     receives as in _tanh_sinh.  Returns (values, estimates, table) as
-    _tanh_sinh does.
+    _tanh_sinh does.  This is the origin frame: pair_regular sends a bump
+    far from the origin to _pair_in_bump_frame instead.
 
     Each node's angular tolerance is its share of the radial budget:
     _ARC_TOL times the error that would use column j's whole radial
     tolerance at that node (see _tanh_sinh, nested) over |2 pi r g_j|,
     the smallest over the columns that share the average, and never below
-    _ARC_TOL * rel_tol * |w(0)|.  The angular part of column j's estimate
-    is the tanh-sinh sum of |2 pi r g_j| times the accepted angular
-    difference over the nodes used.
-
-    A bump centred at d >= _KAPPA * R with no cap (every cap_j = inf) is
-    paired in its own frame instead, by a Clenshaw-Curtis rule in rho^2
-    (see _pair_in_bump_frame); a finite cap bounds |x|, which only the
-    origin frame can follow.
+    _ARC_TOL * _REL_TOL * |w(0)|.  The angular part of column j's
+    estimate is the tanh-sinh sum of |2 pi r g_j| times the accepted
+    angular difference over the nodes used.
 
     When the bump contains the origin off its centre (0 < d < R), the arc
     average is smooth but not analytic at r = R - d, where the circle
@@ -359,19 +354,17 @@ def _pair_columns(g, phi, laplacian, cap, rel_tol):
     radial and angular parts) and table rows are sums over it.
     """
     d, R = math.hypot(*phi.center), phi.radius
-    if d >= _KAPPA * R and np.all(np.isinf(cap)):
-        return _pair_in_bump_frame(g, d, phi, laplacian, np.ndim(cap) > 0, rel_tol)
     lo = max(0.0, d - R)
     hi = np.maximum(lo, np.minimum(d + R, cap))
     if phi.origin_centered:
         prof = phi.profile_laplacian if laplacian else phi.profile
-        return _tanh_sinh(lambda r: TWO_PI * r * (g(r) * prof(r)), lo, hi, rel_tol)
+        return _tanh_sinh(lambda r: TWO_PI * r * (g(r) * prof(r)), lo, hi, _REL_TOL)
     split = d < R
     if split:
         kink = np.minimum(R - d, hi)
         lo, hi = np.stack([np.zeros_like(kink), kink]), np.stack([kink, hi])
     kernel = phi.laplacian_sq if laplacian else phi.profile_sq
-    tol = _ARC_TOL * rel_tol * abs(float(kernel(0.0)))
+    tol = _ARC_TOL * _REL_TOL * abs(float(kernel(0.0)))
 
     def h(r, cap):
         weight = TWO_PI * r * g(r)
@@ -381,7 +374,7 @@ def _pair_columns(g, phi, laplacian, cap, rel_tol):
         avg, diff, _, _ = _theta_average(kernel, d, r, R, False, tol, budget=budget)
         return weight * avg, np.abs(weight) * diff
 
-    value, err, table = _tanh_sinh(h, lo, hi, rel_tol, nested=True)
+    value, err, table = _tanh_sinh(h, lo, hi, _REL_TOL, nested=True)
     if not split:
         return value, err, table
     if np.ndim(cap) == 0:
@@ -409,31 +402,28 @@ def _cc_weights(laplacian, m):
     return _CC_WEIGHTS[laplacian, m]
 
 
-def _pair_in_bump_frame(g, d, phi, laplacian, columns, rel_tol):
-    """int 2 pi rho w(rho) M_j(rho) drho over [0, R], w the profile (or
-    Laplacian) of a bump centred at distance d >= _KAPPA * R and M_j the
-    mean of g_j over the circle |x - c| = rho (_theta_average, in units
-    of d).  In x = 2 rho^2/R^2 - 1 this is C int eta M_j dx, C = pi A R^2/2
-    (2 pi A for the Laplacian), M_j analytic in x, taken by the rule of
+def _pair_in_bump_frame(g, phi, laplacian):
+    """int 2 pi rho w(rho) M(rho) drho over [0, R], w the profile (or
+    Laplacian) of a bump centred at distance d >= _KAPPA * R and M the
+    mean of g over the circle |x - c| = rho (_theta_average, in units of
+    d).  In x = 2 rho^2/R^2 - 1 this is C int eta M dx, C = pi A R^2/2
+    (2 pi A for the Laplacian), M analytic in x, taken by the rule of
     _cc_weights at rho_i = R cos(pi i/2m) = R sin(pi (m - i)/2m).  Level
     k has m = 8 * 2^k and adds the odd nodes, until two levels differ by
-    at most rel_tol * |C| sum_i |W_i| S_ij, S_j the mean of |g_j| over
-    the circle's first angular level.  The estimate adds |C| sum_i |W_i|
+    at most _REL_TOL * |C| sum_i |W_i| S_i, S_i the mean of |g| over the
+    circle's first angular level.  The estimate adds |C| sum_i |W_i|
     times each circle's accepted angular difference plus |x g'(|x|)| *
     _ROUND_ULPS ulp (g' = (g(d + rho) - g(d - rho))/(2 rho) on that
-    level, |x| = d), and 64 ulp of the test's scale.  With columns set, g
-    maps distances shaped (..., 1) to k columns, results shaped (k,).
+    level, |x| = d), and 64 ulp of the test's scale.
     """
-    R, A = phi.radius, phi.amplitude
+    d, R, A = math.hypot(*phi.center), phi.radius, phi.amplitude
     C = TWO_PI * A if laplacian else 0.5 * math.pi * A * R * R
-    fn = (lambda x: g(x[..., None])) if columns else g
-    kernel = lambda q: fn(d * np.sqrt(q))
+    kernel = lambda q: g(d * np.sqrt(q))
 
     def circles(i, m):
         # mean, accepted angular difference, S and round-off |x g'| ulps at rho_i
         rho = R * np.sin(0.5 * math.pi / m * (m - i))
-        parts = np.stack(_theta_average(kernel, d, rho, d, True, 0.0, _ARC_TOL * rel_tol))
-        rho = rho.reshape(rho.shape + (1,) * (parts.ndim - 2))
+        parts = np.stack(_theta_average(kernel, d, rho, d, True, 0.0, _ARC_TOL * _REL_TOL))
         parts[3] *= (0.5 * _ROUND_ULPS * _ULP * d) / np.where(rho > 0.0, rho, math.inf)
         return parts
 
@@ -442,27 +432,25 @@ def _pair_in_bump_frame(g, d, phi, laplacian, columns, rel_tol):
     table = [(0, C * (_cc_weights(laplacian, m) @ parts[0]))]
     for level in range(1, _CC_MAX_LEVEL + 1):
         m *= 2
-        grown = np.empty((4, m + 1) + parts.shape[2:])
+        grown = np.empty((4, m + 1))
         grown[:, ::2], grown[:, 1::2] = parts, circles(np.arange(1, m, 2), m)
         parts, weights = grown, _cc_weights(laplacian, m)
         mean, angular, scale, slope = parts
         table.append((level, C * (weights @ mean)))
         diff = abs(table[-1][1] - table[-2][1])
         size = abs(C) * (np.abs(weights) @ scale)
-        if (diff <= rel_tol * size).all():
+        if diff <= _REL_TOL * size:
             estimate = diff + abs(C) * (np.abs(weights) @ (angular + slope)) + 64.0 * _ULP * size
-            if columns:
-                return table[-1][1], estimate, tuple(table)
             return float(table[-1][1]), float(estimate), tuple((i, float(v)) for i, v in table)
-        if not (diff < math.inf).all():  # a NaN or infinite difference never settles
+        if not diff < math.inf:  # a NaN or infinite difference never settles
             break
-    last = float(np.max(diff))  # the largest column's, NaN first
+    last = float(diff)
     raise QuadratureError(
         "Clenshaw-Curtis quadrature on [0.0, %r] did not converge: level %d, last difference %r"
         % (R, level, last), stage="radial", interval=(0.0, R), level=level, last_difference=last)
 
 
-def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
+def pair_regular(f, phi, move_ops=False):
     """Weak pairing <f, phi> (or <f, lap phi> when move_ops is set).
 
     f is a radial function of r = |x|, locally integrable with at worst a
@@ -478,26 +466,27 @@ def pair_regular(f, phi, move_ops=False, rel_tol=1e-10):
     """
     if phi.origin_centered:
         prof = phi.profile_laplacian if move_ops else phi.profile
-        return integrate_radial(lambda r: f(r) * prof(r), phi.radius, rel_tol=rel_tol)
-    value, err, table = _pair_columns(f, phi, move_ops, math.inf, rel_tol)
-    return PairingReport(value, float(err), table)
+        return integrate_radial(lambda r: f(r) * prof(r), phi.radius)
+    if math.hypot(*phi.center) >= _KAPPA * phi.radius:
+        return PairingReport(*_pair_in_bump_frame(f, phi, move_ops))
+    return PairingReport(*_pair_columns(f, phi, move_ops, math.inf))
 
 
-def _pair_terms(fs, phi, rel_tol):
+def _pair_terms(fs, phi):
     """Lists of <f, phi> and their estimates for the radial functions fs.
 
-    Two or more share one tanh-sinh mesh, one column each (see
-    _pair_columns).  In the origin frame one arc average of phi per node
-    serves every f; in the bump frame each f needs its own circle mean,
-    but all share one set of circles and angles.  A single f is paired
-    by pair_regular: with k = 1 the column arrays cost more per level
-    than the scalar rule.
+    Against a phi centred at d < _KAPPA * R, the origin included, two or
+    more f share one tanh-sinh call, one column each (see _pair_columns),
+    and off the origin one arc average of phi per node serves every f.
+    In the bump frame each f needs its own circle means, so each f is one
+    pair_regular call; so is a single f, where the column arrays would
+    cost more per level than the scalar rule.
     """
-    if len(fs) == 1:
-        rep = pair_regular(fs[0], phi, rel_tol=rel_tol)
-        return [rep.value], [rep.abs_error_estimate]
+    if len(fs) == 1 or math.hypot(*phi.center) >= _KAPPA * phi.radius:
+        reps = [pair_regular(f, phi) for f in fs]
+        return [rep.value for rep in reps], [rep.abs_error_estimate for rep in reps]
     values, estimates, _ = _pair_columns(lambda r: np.concatenate([f(r) for f in fs], axis=-1),
-                                         phi, False, (math.inf,), rel_tol)
+                                         phi, False, (math.inf,))
     return values.tolist(), estimates.tolist()
 
 
@@ -544,7 +533,7 @@ class MollifierFamily:
         return eps if self.profile == "bump" else 26.0 * eps
 
 
-def pair_mollified_product(f, fam, phi, rel_tol=1e-10):
+def pair_mollified_product(f, fam, phi):
     """Classical probe <f * delta_eps, phi> for each eps in the family.
 
     Returns a list of (eps, value) rows.  Each eps must be smaller than the
@@ -558,7 +547,7 @@ def pair_mollified_product(f, fam, phi, rel_tol=1e-10):
                          % (fam.epsilons[0], phi.radius))
     eps = np.array(fam.epsilons)
     values = _pair_columns(lambda r: f(r) * fam.delta_eps(eps, r), phi, False,
-                           fam.cutoff_radius(eps), rel_tol)[0]
+                           fam.cutoff_radius(eps))[0]
     return list(zip(fam.epsilons, values.tolist()))
 
 

@@ -290,3 +290,17 @@ def test_output_is_deterministic():
     _, first = run_cli(argv)
     _, second = run_cli(argv)
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["k0", "--x", "1.0", "0.5"]])
+def test_text_format_prints_the_json_rows_and_summary(argv):
+    # every expected line comes from the JSON output of the same command
+    code, text = run_cli(argv + ["--format", "text"])
+    json_code, json_text = run_cli(argv + ["--format", "json"])
+    assert code == json_code == 0
+    doc = json.loads(json_text)
+    cell = lambda v: repr(v) if isinstance(v, float) else str(v)
+    want = ["== %s ==" % argv[0]]
+    want += ["  ".join("%s=%s" % (k, cell(v)) for k, v in row.items()) for row in doc["rows"]]
+    want += ["summary %s = %s" % (k, cell(v)) for k, v in doc["summary"].items()]
+    assert text.splitlines() == want

@@ -27,6 +27,7 @@ def test_parse_basic_terms():
     assert parse_expr("scale(2, delta)") == dx.ScaleArg(2.0, dx.Delta())
     assert parse_expr("log_r_over(1.5)") == dx.LogRadialScaled(1.5)
     assert parse_expr("0") == dx.ZERO
+    assert parse_expr("delta  ") == dx.Delta()
 
 
 def test_parse_subtraction_and_negation():
@@ -45,6 +46,23 @@ def test_parse_syntax_errors_carry_position():
         parse_expr("delta delta")
     with pytest.raises(dx.ExprSyntaxError):
         parse_expr("frob(1)")
+
+
+@pytest.mark.parametrize("source, message, position", [
+    ("log_r $", "unexpected character '$'", 6),
+    ("log_r_over(x)", "expected a number", 11),
+    ("2 delta", "expected '*' after a coefficient", 2),
+    ("log_r*log_r", "only delta may follow '*' here", 6),
+    ("delta*delta", "a product must pair one regular radial factor with delta "
+                    "(delta*delta is undefined)", 5),
+    ("scale(2 delta)", "expected ','", 8),
+    ("psi(1.0", "expected ')'", 7),
+])
+def test_parse_error_messages_and_positions(source, message, position):
+    with pytest.raises(dx.ExprSyntaxError) as err:
+        parse_expr(source)
+    assert str(err.value) == "%s (at position %d)" % (message, position)
+    assert err.value.position == position
 
 
 def test_parse_constraint_errors():

@@ -161,7 +161,7 @@ def test_thin_far_bump_against_oracle(R, q, move_ops):
 
 
 def test_multi_term_pairing_of_a_thin_far_bump():
-    # two regular terms share one mesh in the bump frame, each with its own circle mean
+    # in the bump frame each regular term is one pair_regular call, with its own circle means
     from delta2d import parse_expr, weak_pair_expr
     phi = make_bump(1.0, 1e-4, (1e6, 0.0))
     rep = weak_pair_expr(parse_expr("log_r + K0(1.0*r)"), phi)
@@ -461,6 +461,21 @@ def test_tanh_sinh_failure_at_level_0_is_a_quadrature_error(monkeypatch):
     assert exc.value.stage == "radial" and exc.value.interval in ((0.0, 1.0), (0.0, 2.0))
 
 
+@pytest.mark.parametrize("rule, pair", [
+    ("tanh-sinh", lambda: integrate_radial(lambda r: np.where(r > 0.5, np.nan, 1.0), 1.0)),
+    ("Clenshaw-Curtis", lambda: pair_regular(lambda r: np.where(r > 1.5, np.nan, np.log(r)),
+                                             make_bump(1.0, 1.0, (1.75, 0.0)))),
+])
+def test_a_nan_difference_stops_either_rule_at_level_1(rule, pair):
+    # a NaN difference never settles: the rule stops at the first one, not at its last level
+    with pytest.raises(QuadratureError) as exc:
+        pair()
+    err = exc.value
+    assert str(err) == ("%s quadrature on [0.0, 1.0] did not converge: "
+                        "level 1, last difference nan" % rule)
+    assert err.stage == "radial" and err.level == 1 and math.isnan(err.last_difference)
+
+
 @pytest.mark.parametrize("laplacian", [False, True])
 def test_bump_weighted_clenshaw_curtis_weights_against_quadpack_moments(laplacian):
     # sum_i W_i T_j(x_i) = int eta T_j for every j <= m; the moments come from
@@ -554,7 +569,7 @@ def test_bump_frame_estimate_is_not_loose_for_the_laplacian():
 
 @pytest.mark.parametrize("d", [1.2, 1.75])
 def test_bump_frame_columns_match_single_pairings(d):
-    # the multi-term path pairs every term as one column of the same rule
+    # in the bump frame the multi-term path pairs every term by pair_regular
     from delta2d import parse_expr, weak_pair_expr
     phi = make_bump(1.0, 1.0, (d, 0.0))
     rep = weak_pair_expr(parse_expr("log_r + K0(1.0*r)"), phi)
